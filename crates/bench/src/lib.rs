@@ -1,29 +1,22 @@
 //! # wheels-bench
 //!
-//! The benchmark harness. Each Criterion bench target regenerates part of
-//! the paper's evaluation and measures how long the regeneration takes:
+//! The benchmark harness. The Criterion bench targets are:
 //!
-//! - `paper_tables` — Tables 1–5.
-//! - `coverage_figures` — Figs. 1–2.
-//! - `network_figures` — Figs. 3–10.
-//! - `handover_figures` — Figs. 11–12.
-//! - `app_figures` — Figs. 13–16 and 18–22.
 //! - `components` — microbenchmarks of the simulator's hot paths
 //!   (channel sampling, CUBIC ticks, session polls, route queries).
 //! - `ablations` — the DESIGN.md design-choice probes (upgrade policy,
 //!   buffer sizing, BBA, CA, local tracking).
 //!
-//! Each experiment bench prints its regenerated rows once (to stderr) so
-//! `cargo bench` output doubles as a reproduction log.
+//! The remaining targets (`campaign`, `analysis`, `storage`, `ingest`,
+//! `serve`, `lint`, `stress`) each write a tracked `BENCH_*.json`
+//! baseline at the repository root. The paper's tables and figures are
+//! printed by the `repro` binary; their regeneration time is measured
+//! per experiment by the `perfbench` package.
 //!
-//! The shared world is built once per bench binary at Quick scale; use the
-//! `repro` binary with `--standard`/`--full` for the higher-fidelity runs
-//! recorded in EXPERIMENTS.md.
+//! `ablations` prints each probe's rows once (to stderr), so its output
+//! doubles as a reproduction log.
 
 #![forbid(unsafe_code)]
-
-/// Re-export for bench targets.
-pub use wheels_experiments::world::{Scale, World};
 
 /// Print an experiment's output once per process (so Criterion's repeated
 /// iterations don't spam).

@@ -54,7 +54,7 @@ use wheels_sim_core::rng::SimRng;
 use wheels_sim_core::time::{SimDuration, SimTime};
 use wheels_transport::servers::ServerFleet;
 
-use crate::checkpoint::{CheckpointError, Fingerprint, FrameSpan, Journal, JournalMetrics};
+use crate::checkpoint::{self, CheckpointError, Fingerprint, FrameSpan, Journal, JournalMetrics};
 use crate::disrupt::{FaultConfig, FaultKind, FaultSchedule, RetryPolicy};
 use crate::measure::{self, VehicleCtx};
 use crate::records::{
@@ -266,38 +266,6 @@ struct ShardJob {
     segment: Option<Segment>,
 }
 
-/// What one shard hands back for order-independent merging.
-struct ShardOut {
-    op: Operator,
-    ds: Dataset,
-    /// Cells this shard's session was served by, unioned per operator in
-    /// the finalize step (Table 1's unique-cell counts must not double
-    /// count a cell seen by two shards).
-    cells: BTreeSet<CellId>,
-}
-
-impl ShardOut {
-    /// The journal-frame form: the cell set flattens to a sorted `Vec`
-    /// (its `BTreeSet` iteration order), which the vendored serde can
-    /// encode.
-    fn into_records(self) -> ShardRecords {
-        ShardRecords {
-            operator: self.op,
-            dataset: self.ds,
-            cells: self.cells.into_iter().collect(),
-        }
-    }
-
-    /// Rehydrate a replayed journal frame.
-    fn from_records(rec: ShardRecords) -> ShardOut {
-        ShardOut {
-            op: rec.operator,
-            ds: rec.dataset,
-            cells: rec.cells.into_iter().collect(),
-        }
-    }
-}
-
 /// One completed shard waiting in the reorder window of a journalled
 /// run: in-window shards stay resident; out-of-window shards drop their
 /// RAM copy — the journal frame they were just appended to *is* the
@@ -305,7 +273,7 @@ impl ShardOut {
 /// re-read. Frames replayed by `--resume` start out spilled by
 /// construction.
 enum Done {
-    Resident(Box<ShardOut>),
+    Resident(Box<ShardRecords>),
     Spilled(FrameSpan),
 }
 
@@ -332,14 +300,14 @@ impl<'o> Merger<'o> {
     }
 
     /// Fold the next shard (plan order) into the accumulator.
-    fn drain(&mut self, shard: ShardOut) {
-        if let Some(i) = self.ops.iter().position(|o| *o == shard.op) {
+    fn drain(&mut self, shard: ShardRecords) {
+        if let Some(i) = self.ops.iter().position(|o| *o == shard.operator) {
             self.cells[i].extend(shard.cells.iter().copied());
         }
-        let mut ds = shard.ds;
+        let mut ds = shard.dataset;
         if !ds.is_normalized() {
-            // Shards normalize before handing off, but a journal written
-            // by an older build may still carry unsorted shard tables.
+            // Shards normalize before handing off; a replayed frame is
+            // only checksummed, so restore canonical order defensively.
             ds.normalize();
         }
         self.out.merge_normalized(ds);
@@ -548,7 +516,7 @@ impl Campaign {
     pub fn shard_records(&self, cfg: &CampaignConfig) -> Vec<ShardRecords> {
         self.plan(cfg)
             .iter()
-            .map(|job| self.run_shard(job, cfg).into_records())
+            .map(|job| self.run_shard(job, cfg))
             .collect()
     }
 
@@ -685,7 +653,7 @@ impl Campaign {
     ) -> (Dataset, MergeStats) {
         struct Reorder<'o> {
             merger: Merger<'o>,
-            parked: BTreeMap<usize, ShardOut>,
+            parked: BTreeMap<usize, ShardRecords>,
             next_drain: usize,
             peak_resident: usize,
         }
@@ -797,7 +765,7 @@ impl Campaign {
                                 jobs[st.next_drain].op.label()
                             )));
                         }
-                        ShardOut::from_records(rec)
+                        rec
                     }
                 };
                 st.merger.drain(out);
@@ -847,11 +815,15 @@ impl Campaign {
                     {
                         break; // the journal is broken; stop burning work
                     }
-                    let rec = self.run_shard(&jobs[i], cfg).into_records();
-                    let appended = journal
-                        .lock()
-                        .expect("journal mutex poisoned")
-                        .append(i, &rec);
+                    let rec = self.run_shard(&jobs[i], cfg);
+                    // Encode outside the lock: only the write and its
+                    // sync serialize across workers.
+                    let appended = checkpoint::encode_shard(i, &rec).and_then(|frame| {
+                        journal
+                            .lock()
+                            .expect("journal mutex poisoned")
+                            .append_frame(&frame)
+                    });
                     let span = match appended {
                         Ok(span) => span,
                         Err(e) => {
@@ -863,9 +835,10 @@ impl Campaign {
                     metrics.count_audits(&rec.dataset.audits);
                     let mut st = state.lock().expect("reorder state mutex poisoned");
                     if i < st.next_drain.saturating_add(window) {
-                        let parked = &mut st.parked;
-                        // lint: allow(bounded-ingest, this is the reorder window itself — residency is capped at merge_window and everything past it spills to the journal branch below)
-                        parked.insert(i, Done::Resident(ShardOut::from_records(rec).into()));
+                        // The reorder window itself: residency is capped
+                        // at merge_window, and everything past it spills
+                        // to the journal branch below.
+                        st.parked.insert(i, Done::Resident(rec.into()));
                         st.resident += 1;
                         st.peak_resident = st.peak_resident.max(st.resident);
                     } else {
@@ -900,7 +873,7 @@ impl Campaign {
 
     /// Run one shard: the operator's static baselines (segment = None) or
     /// one trace segment of drive cycles.
-    fn run_shard(&self, job: &ShardJob, cfg: &CampaignConfig) -> ShardOut {
+    fn run_shard(&self, job: &ShardJob, cfg: &CampaignConfig) -> ShardRecords {
         let op = job.op;
         let dep = self.deployment(op);
         // lint: allow(lossy-cast, operator index is 0..3, exact in u32)
@@ -966,10 +939,12 @@ impl Campaign {
         // classic mergesort identity), which is what keeps the streaming
         // engine byte-identical to the buffering one.
         runner.ds.normalize();
-        ShardOut {
-            op,
-            ds: runner.ds,
-            cells: runner.session.unique_cells().collect(),
+        let mut cells: Vec<CellId> = runner.session.unique_cells().collect();
+        cells.sort_unstable();
+        ShardRecords {
+            operator: op,
+            dataset: runner.ds,
+            cells,
         }
     }
 }

@@ -17,21 +17,23 @@
 //! # Journal format
 //!
 //! ```text
-//! "WCJ1"                                     4-byte magic
+//! "WCJ2"                                     4-byte magic
 //! frame        header: JSON Fingerprint      run identity (see below)
-//! frame*       one per completed shard: JSON (job index, ShardRecords)
+//! frame*       one per completed shard (binary, below)
 //!
 //! frame := len: u32 LE | fnv1a64(payload): u64 LE | payload bytes
+//! shard := job: u32 LE | operator code: u8 | cell count: u32 LE
+//!        | cell ids: u32 LE × count | WCD1 image of the shard dataset
 //! ```
 //!
-//! The journal is *created* via temp-file + atomic rename (a kill during
-//! creation leaves either no journal or a complete header, never a
-//! half-written one); shard frames are then appended sequentially and
-//! synced, so a kill mid-append leaves at most one torn tail frame. On
-//! resume, the first frame whose length or checksum does not hold marks
-//! the torn tail: it and everything after it are truncated away. A
-//! checksum can only vouch for bytes that were fully written, so
-//! anything beyond the first bad frame is unreliable by construction.
+//! A shard payload carries its plan index first, so a resume indexes
+//! frames without decoding them, then the served-cell set, then the
+//! shard's dataset in the same WCD1 column layout `dataset --format bin`
+//! writes ([`crate::column::wcd`]): `f64` values travel as raw bits, so
+//! a replayed shard is bit-identical to the one that was appended. A
+//! `WCJ1` journal (JSON shard frames, written by older builds) is
+//! refused with a diagnostic; there is no reader for it, so such a run
+//! starts fresh with `--checkpoint`.
 //!
 //! # Fingerprint rule
 //!
@@ -52,7 +54,9 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
+use wheels_ran::cells::CellId;
 
+use crate::column::{op_code, op_from, wcd, ColumnarDataset};
 use crate::disrupt::FaultConfig;
 use crate::records::ShardRecords;
 
@@ -60,7 +64,11 @@ use crate::records::ShardRecords;
 pub const JOURNAL_FILE: &str = "journal.wcj";
 
 /// Journal magic + format version.
-const MAGIC: &[u8; 4] = b"WCJ1";
+const MAGIC: &[u8; 4] = b"WCJ2";
+
+/// Magic of the retired JSON-frame format, recognized only to refuse it
+/// with a diagnostic that names it.
+const OLD_MAGIC: &[u8; 4] = b"WCJ1";
 
 /// Bytes of frame framing ahead of the payload (u32 length + u64 checksum).
 const FRAME_HEADER: usize = 12;
@@ -209,15 +217,107 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Encode one frame (length prefix + checksum + payload).
-fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, CheckpointError> {
-    let len = u32::try_from(payload.len())
+/// A file offset or length as `u64`.
+fn off(n: usize) -> Result<u64, CheckpointError> {
+    u64::try_from(n).map_err(|_| CheckpointError::Invalid("journal length exceeds u64".to_string()))
+}
+
+/// Build one frame (length prefix + checksum + payload), with the
+/// payload written in place by `payload`.
+fn frame_with(
+    payload: impl FnOnce(&mut Vec<u8>) -> Result<(), CheckpointError>,
+) -> Result<Vec<u8>, CheckpointError> {
+    let mut out = vec![0u8; FRAME_HEADER];
+    payload(&mut out)?;
+    let len = u32::try_from(out.len() - FRAME_HEADER)
         .map_err(|_| CheckpointError::Invalid("frame payload exceeds u32 length".to_string()))?;
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let sum = fnv1a64(&out[FRAME_HEADER..]);
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out[4..FRAME_HEADER].copy_from_slice(&sum.to_le_bytes());
     Ok(out)
+}
+
+/// Encode one completed shard as a whole frame (see the module doc for
+/// the payload layout). Pure CPU work with no journal state, so the
+/// campaign runs it outside the journal lock.
+pub(crate) fn encode_shard(job: usize, rec: &ShardRecords) -> Result<Vec<u8>, CheckpointError> {
+    let job = u32::try_from(job)
+        .map_err(|_| CheckpointError::Invalid(format!("shard index {job} exceeds u32")))?;
+    let count = u32::try_from(rec.cells.len())
+        .map_err(|_| CheckpointError::Invalid("shard cell count exceeds u32".to_string()))?;
+    frame_with(|out| {
+        out.extend_from_slice(&job.to_le_bytes());
+        out.push(op_code(rec.operator));
+        out.extend_from_slice(&count.to_le_bytes());
+        for cell in &rec.cells {
+            out.extend_from_slice(&cell.0.to_le_bytes());
+        }
+        wcd::encode_to(&ColumnarDataset::from_rows(&rec.dataset), out)
+            .map_err(|e| CheckpointError::Invalid(format!("cannot encode shard {job}: {e}")))
+    })
+}
+
+/// Split `n` bytes off the front of `rest`, or `None` if fewer remain.
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, tail) = rest.split_at_checked(n)?;
+    *rest = tail;
+    Some(head)
+}
+
+/// Read a little-endian `u32` off the front of `rest`.
+fn take_u32(rest: &mut &[u8]) -> Option<u32> {
+    let mut b = [0u8; 4];
+    b.copy_from_slice(take(rest, 4)?);
+    Some(u32::from_le_bytes(b))
+}
+
+/// Read the plan index that leads every shard payload.
+fn take_job(rest: &mut &[u8]) -> Option<usize> {
+    usize::try_from(take_u32(rest)?).ok()
+}
+
+/// Decode a checksummed shard-frame payload written by [`encode_shard`].
+/// Total on arbitrary bytes: every count is checked against the bytes
+/// that remain before anything is sized from it, and the WCD1 image
+/// must fill the rest of the payload exactly. `pos` is the frame's file
+/// offset, for the diagnostic.
+fn decode_shard(payload: &[u8], pos: u64) -> Result<(usize, ShardRecords), CheckpointError> {
+    let bad = |what: String| {
+        CheckpointError::Invalid(format!(
+            "checksummed frame at byte {pos} does not decode: {what}"
+        ))
+    };
+    let mut rest = payload;
+    let job = take_job(&mut rest).ok_or_else(|| bad("truncated shard index".to_string()))?;
+    let op = take(&mut rest, 1).ok_or_else(|| bad("truncated operator code".to_string()))?[0];
+    let operator = op_from(op).map_err(|e| bad(e.0))?;
+    let count = take_u32(&mut rest).ok_or_else(|| bad("truncated cell count".to_string()))?;
+    let left = rest.len();
+    let cell_bytes = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(4))
+        .and_then(|n| take(&mut rest, n))
+        .ok_or_else(|| bad(format!("cell count {count} overruns the {left} bytes left")))?;
+    let cells = cell_bytes
+        .chunks_exact(4)
+        .map(|c| {
+            let mut b = [0u8; 4];
+            b.copy_from_slice(c);
+            CellId(u32::from_le_bytes(b))
+        })
+        .collect();
+    let dataset = wcd::decode(rest)
+        .map_err(|e| bad(e.to_string()))?
+        .to_rows()
+        .map_err(|e| bad(e.to_string()))?;
+    Ok((
+        job,
+        ShardRecords {
+            operator,
+            dataset,
+            cells,
+        },
+    ))
 }
 
 /// One frame-scan step.
@@ -261,21 +361,21 @@ fn scan_frame(bytes: &[u8], pos: usize) -> Scan<'_> {
     }
 }
 
-/// Extract the job index from a shard-frame payload without decoding
-/// the records: the payload is `serde_json` of `(job, ShardRecords)` —
-/// i.e. `[<digits>,{…}]` — so the index is the integer right after the
-/// opening bracket. This is what lets a resume build its frame index
-/// without materializing a single shard.
-fn frame_job(payload: &[u8], pos: usize) -> Result<usize, CheckpointError> {
-    let bad = || {
-        CheckpointError::Invalid(format!(
-            "checksummed frame at byte {pos} does not start with a job index"
-        ))
-    };
-    let s = std::str::from_utf8(payload).map_err(|_| bad())?;
-    let body = s.strip_prefix('[').ok_or_else(bad)?;
-    let digits = &body[..body.find(',').ok_or_else(bad)?];
-    digits.trim().parse().map_err(|_| bad())
+/// Refuse anything but a `WCJ2` journal. A `WCJ1` journal is a real
+/// journal from an older build, so it gets a diagnostic of its own.
+fn check_magic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    match bytes.get(..MAGIC.len()) {
+        Some(m) if m == MAGIC => Ok(()),
+        Some(m) if m == OLD_MAGIC => Err(CheckpointError::Invalid(format!(
+            "{} is a WCJ1 journal (JSON shard frames) from an older build; this build reads \
+             only WCJ2 — start fresh with --checkpoint",
+            path.display()
+        ))),
+        _ => Err(CheckpointError::Invalid(format!(
+            "{} is not a wheels checkpoint journal (bad magic)",
+            path.display()
+        ))),
+    }
 }
 
 /// Read `dir`'s journal and verify its magic and identity header
@@ -297,12 +397,7 @@ fn open_verified(
         }
         Err(e) => return Err(e.into()),
     };
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(CheckpointError::Invalid(format!(
-            "{} is not a wheels checkpoint journal (bad magic)",
-            path.display()
-        )));
-    }
+    check_magic(&path, &bytes)?;
     // The header must be intact: a journal whose identity cannot be
     // verified cannot be trusted at all.
     let (header, pos) = match scan_frame(&bytes, MAGIC.len()) {
@@ -396,27 +491,15 @@ pub fn tail_from(
         match scan_frame(&bytes, pos) {
             Scan::End | Scan::Torn => break,
             Scan::Frame { payload, end } => {
-                let text = std::str::from_utf8(payload).map_err(|_| {
-                    CheckpointError::Invalid(format!(
-                        "checksummed frame at byte {pos} is not valid UTF-8"
-                    ))
-                })?;
-                let (job, records): (usize, ShardRecords) =
-                    serde_json::from_str(text).map_err(|e| {
-                        CheckpointError::Invalid(format!(
-                            "checksummed frame at byte {pos} does not decode: {e}"
-                        ))
-                    })?;
+                let (job, records) = decode_shard(payload, base + off(pos)?)?;
                 sink(job, records)?;
                 delivered += 1;
                 pos = end;
             }
         }
     }
-    let consumed = u64::try_from(pos)
-        .map_err(|_| CheckpointError::Invalid("journal length exceeds u64".to_string()))?;
     Ok(TailState {
-        next_offset: base + consumed,
+        next_offset: base + off(pos)?,
         delivered,
     })
 }
@@ -511,7 +594,10 @@ impl Journal {
         let header = serde_json::to_string(fp)
             .map_err(|e| CheckpointError::Invalid(format!("cannot serialize fingerprint: {e}")))?;
         let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&encode_frame(header.as_bytes())?);
+        bytes.extend_from_slice(&frame_with(|out| {
+            out.extend_from_slice(header.as_bytes());
+            Ok(())
+        })?);
         let path = Self::file_path(dir);
         write_atomic(&path, &bytes)?;
         Ok(Journal {
@@ -536,17 +622,19 @@ impl Journal {
         let valid_end = loop {
             match scan_frame(&bytes, pos) {
                 Scan::End | Scan::Torn => break pos,
-                Scan::Frame { payload, end } => {
-                    let job = frame_job(payload, pos)?;
+                Scan::Frame { mut payload, end } => {
+                    // The plan index leads the payload: index without
+                    // decoding the shard.
+                    let job = take_job(&mut payload).ok_or_else(|| {
+                        CheckpointError::Invalid(format!(
+                            "checksummed frame at byte {pos} is shorter than its shard index"
+                        ))
+                    })?;
                     completed.insert(
                         job,
                         FrameSpan {
-                            start: u64::try_from(pos).map_err(|_| {
-                                CheckpointError::Invalid("journal length exceeds u64".to_string())
-                            })?,
-                            end: u64::try_from(end).map_err(|_| {
-                                CheckpointError::Invalid("journal length exceeds u64".to_string())
-                            })?,
+                            start: off(pos)?,
+                            end: off(end)?,
                         },
                     );
                     pos = end;
@@ -557,9 +645,7 @@ impl Journal {
             // Torn tail: cut the journal back to its valid prefix so the
             // resumed run appends after the last intact frame.
             let f = OpenOptions::new().write(true).open(&path)?;
-            f.set_len(u64::try_from(valid_end).map_err(|_| {
-                CheckpointError::Invalid("journal length exceeds u64".to_string())
-            })?)?;
+            f.set_len(off(valid_end)?)?;
             f.sync_all()?;
         }
         Ok((
@@ -615,15 +701,17 @@ impl Journal {
         job: usize,
         records: &ShardRecords,
     ) -> Result<FrameSpan, CheckpointError> {
-        let payload = serde_json::to_string(&(job, records))
-            .map_err(|e| CheckpointError::Invalid(format!("cannot serialize shard frame: {e}")))?;
-        let frame = encode_frame(payload.as_bytes())?;
+        self.append_frame(&encode_shard(job, records)?)
+    }
+
+    /// Write and sync a frame built by [`encode_shard`]: the part of
+    /// [`Journal::append`] that must not interleave with other appends.
+    pub(crate) fn append_frame(&mut self, frame: &[u8]) -> Result<FrameSpan, CheckpointError> {
         let mut f = OpenOptions::new().append(true).open(&self.path)?;
         let start = f.metadata()?.len();
-        f.write_all(&frame)?;
+        f.write_all(frame)?;
         f.sync_data()?;
-        let len = u64::try_from(frame.len())
-            .map_err(|_| CheckpointError::Invalid("frame length exceeds u64".to_string()))?;
+        let len = off(frame.len())?;
         if let Some(m) = &self.metrics {
             m.frames_appended.inc();
             m.bytes_appended.add(len);
@@ -663,19 +751,7 @@ impl JournalReader {
                 span.start, span.end
             )));
         };
-        let text = std::str::from_utf8(payload).map_err(|_| {
-            CheckpointError::Invalid(format!(
-                "checksummed frame at byte {} is not valid UTF-8",
-                span.start
-            ))
-        })?;
-        let (_, records): (usize, ShardRecords) = serde_json::from_str(text).map_err(|e| {
-            CheckpointError::Invalid(format!(
-                "checksummed frame at byte {} does not decode: {e}",
-                span.start
-            ))
-        })?;
-        Ok(records)
+        Ok(decode_shard(payload, span.start)?.1)
     }
 }
 
@@ -686,19 +762,11 @@ impl JournalReader {
 pub fn frame_ends(dir: &Path) -> Result<Vec<u64>, CheckpointError> {
     let path = Journal::file_path(dir);
     let bytes = std::fs::read(&path)?;
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        return Err(CheckpointError::Invalid(format!(
-            "{} is not a wheels checkpoint journal (bad magic)",
-            path.display()
-        )));
-    }
+    check_magic(&path, &bytes)?;
     let mut ends = Vec::new();
     let mut pos = MAGIC.len();
     while let Scan::Frame { end, .. } = scan_frame(&bytes, pos) {
-        ends.push(
-            u64::try_from(end)
-                .map_err(|_| CheckpointError::Invalid("journal length exceeds u64".to_string()))?,
-        );
+        ends.push(off(end)?);
         pos = end;
     }
     Ok(ends)
@@ -986,6 +1054,113 @@ mod tests {
             *e2.last().unwrap(),
             std::fs::metadata(Journal::file_path(&dir)).unwrap().len()
         );
+    }
+
+    /// Append a frame with a correctly recomputed checksum around
+    /// `payload`, then decode it through both readers.
+    fn decode_hostile(name: &str, payload: &[u8]) -> Vec<CheckpointError> {
+        let dir = tmpdir(name);
+        let mut j = Journal::create(&dir, &fp(1)).unwrap();
+        let span = j
+            .append_frame(
+                &frame_with(|out| {
+                    out.extend_from_slice(payload);
+                    Ok(())
+                })
+                .unwrap(),
+            )
+            .unwrap();
+        let tailed = tail(&dir, &fp(1), |_, _| Ok(())).unwrap_err();
+        let read = j.reader().read_frame(span).unwrap_err();
+        vec![tailed, read]
+    }
+
+    #[test]
+    fn hostile_shard_payloads_are_invalid_not_panics() {
+        let good = encode_shard(0, &rec(Operator::Att)).unwrap();
+        let good = &good[FRAME_HEADER..];
+        // job u32 | op u8 | count u32 | cells u32 × 2 | WCD1 image
+        let image = 9 + 8;
+        let with = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut p = good.to_vec();
+            edit(&mut p);
+            p
+        };
+        let overrun = u32::try_from(good.len()).unwrap();
+        let cases: [(&str, Vec<u8>); 5] = [
+            (
+                "count_overruns",
+                with(&|p| p[5..9].copy_from_slice(&overrun.to_le_bytes())),
+            ),
+            (
+                "count_max",
+                with(&|p| p[5..9].copy_from_slice(&u32::MAX.to_le_bytes())),
+            ),
+            ("unknown_operator", with(&|p| p[4] = 7)),
+            (
+                "truncated_image",
+                good[..image + (good.len() - image) / 2].to_vec(),
+            ),
+            ("trailing_bytes", with(&|p| p.extend_from_slice(&[0; 5]))),
+        ];
+        for (name, payload) in cases {
+            for err in decode_hostile(&format!("ckpt_hostile_{name}"), &payload) {
+                match err {
+                    CheckpointError::Invalid(d) => assert!(d.contains("does not decode"), "{d}"),
+                    other => panic!("{name}: expected Invalid, got {other:?}"),
+                }
+            }
+        }
+        // And the untouched payload still decodes: the faults above are
+        // what each case tripped on.
+        assert_eq!(decode_shard(good, 0).unwrap(), (0, rec(Operator::Att)));
+    }
+
+    #[test]
+    fn wcj1_journals_are_refused_by_name() {
+        let dir = tmpdir("ckpt_wcj1");
+        let mut j = Journal::create(&dir, &fp(1)).unwrap();
+        j.append(0, &rec(Operator::Verizon)).unwrap();
+        let mut bytes = std::fs::read(Journal::file_path(&dir)).unwrap();
+        bytes[..4].copy_from_slice(b"WCJ1");
+        std::fs::write(Journal::file_path(&dir), &bytes).unwrap();
+        let errs = [
+            Journal::resume_indexed(&dir, &fp(1)).unwrap_err(),
+            tail(&dir, &fp(1), |_, _| Ok(())).unwrap_err(),
+            frame_ends(&dir).unwrap_err(),
+        ];
+        for err in errs {
+            match err {
+                CheckpointError::Invalid(d) => {
+                    assert!(d.contains("WCJ1") && d.contains("older build"), "{d}");
+                    assert!(d.contains("--checkpoint"), "{d}");
+                }
+                other => panic!("expected Invalid, got {other:?}"),
+            }
+        }
+        assert_eq!(std::fs::read(Journal::file_path(&dir)).unwrap(), bytes);
+    }
+
+    #[test]
+    fn non_finite_f64_round_trip_bit_exactly() {
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let mut r = rec(Operator::TMobile);
+        r.dataset.rx_bytes = nan;
+        r.dataset.tx_bytes = f64::INFINITY;
+        r.dataset.log_bytes = f64::NEG_INFINITY;
+        r.dataset.runtime_min = vec![(Operator::TMobile, -nan), (Operator::Att, -0.0)];
+        let dir = tmpdir("ckpt_nonfinite");
+        let mut j = Journal::create(&dir, &fp(1)).unwrap();
+        let span = j.append(4, &r).unwrap();
+        let back = j.reader().read_frame(span).unwrap();
+        let bits = |x: &ShardRecords| {
+            let d = &x.dataset;
+            let mut v = vec![d.rx_bytes, d.tx_bytes, d.log_bytes];
+            v.extend(d.runtime_min.iter().map(|&(_, m)| m));
+            v.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&back), bits(&r));
+        assert_eq!((back.operator, &back.cells), (r.operator, &r.cells));
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!   throughput / RTT / app tests round-robin while three handover-logger
 //!   phones record passively, producing a [`records::Dataset`].
 //! - [`checkpoint`] — crash-safe campaign persistence: an append-only
-//!   shard journal (length-prefixed, checksummed frames behind an
-//!   atomically-created identity header) that lets a `--checkpoint` run
-//!   killed at any byte resume bit-identically with `--resume`.
+//!   shard journal (length-prefixed, checksummed frames, each shard a
+//!   WCD1 column image, behind an atomically-created identity header)
+//!   that lets a `--checkpoint` run killed at any byte resume
+//!   bit-identically with `--resume`.
 //! - [`analysis`] — everything §4–§7 computes: coverage-by-miles,
 //!   KPI↔throughput correlations (Table 2), handover impact (ΔT₁/ΔT₂,
 //!   Fig. 12), and operator diversity (Fig. 6).

@@ -287,9 +287,8 @@ pub struct Dataset {
 
 /// Everything one completed campaign shard contributes to the merged
 /// dataset — the payload of one checkpoint-journal frame. The served-cell
-/// set travels as a sorted `Vec` (the canonical order of the engine's
-/// `BTreeSet`) so the frame encoding is order-stable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// set is a sorted `Vec`, so the frame encoding is order-stable.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardRecords {
     /// Operator the shard simulated.
     pub operator: Operator,

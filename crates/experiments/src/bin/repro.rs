@@ -28,9 +28,10 @@
 //! experiment and printed in registry order, so stdout is byte-identical
 //! at any thread count. `--merge-window N` bounds the campaign merge to
 //! at most N resident completed shards (the rest spill through the
-//! checkpoint journal) — like `--threads`, it never changes any output,
-//! only peak memory. Run in release mode; `--full` is the paper's
-//! continuous protocol and takes minutes.
+//! checkpoint journal, or wait for their turn without one) — like
+//! `--threads`, it never changes any output, only peak memory. Run in
+//! release mode; `--full` is the paper's continuous protocol and takes
+//! minutes.
 
 use std::io::Write;
 

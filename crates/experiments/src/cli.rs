@@ -28,12 +28,9 @@ pub struct Args {
     pub threads: Option<usize>,
     /// Streaming-merge reorder window (`--merge-window N`, default =
     /// unbounded): at most N completed shards are held resident waiting
-    /// for plan order; the rest spill to the checkpoint journal. Without
-    /// `--checkpoint`/`--resume` the combination is still well-defined:
-    /// the build spills through a temporary journal that is removed
-    /// after the merge (falling back to in-memory backpressure if the
-    /// temp journal cannot be created). Never changes any output, only
-    /// peak memory.
+    /// for plan order. With `--checkpoint`/`--resume` the rest spill to
+    /// the journal; without, workers wait at the window (backpressure).
+    /// Never changes any output, only peak memory.
     pub merge_window: Option<usize>,
     /// Enable the demo disruption mix (`--faults`): injected server
     /// outages, app crashes, logger gaps and clock-drift bursts, with

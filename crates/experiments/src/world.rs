@@ -14,8 +14,7 @@
 //! every experiment shares the same partition indices and memoized Cdfs
 //! (and, being `Sync`, the same view backs the parallel runner).
 
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::Path;
 use std::sync::OnceLock;
 
 use wheels_core::analysis::view::DatasetView;
@@ -118,44 +117,18 @@ impl World {
     /// Build a fresh world with the full set of runtime knobs. Neither
     /// knob changes the dataset: threads move wall time, the merge window
     /// moves peak memory, and the bytes are identical either way.
-    ///
-    /// `--merge-window` without `--checkpoint` is well-defined: spilling
-    /// an out-of-window shard needs a journal, so the builder provisions
-    /// a **temporary** one (removed after the merge) instead of rejecting
-    /// the combination. If the temp journal cannot be created the build
-    /// falls back to the in-memory backpressure merge — same bytes,
-    /// workers may stall at the window instead of spilling.
+    /// Without a checkpoint journal to spill to, the merge window bounds
+    /// residency by backpressure: a worker waits before simulating a
+    /// shard more than the window ahead of the drain front.
     pub fn build_tuned(scale: Scale, seed: u64, tuning: Tuning, faults: FaultConfig) -> World {
         let (campaign, cfg) = Self::campaign_for(scale, seed, tuning, faults);
-        let (dataset, stats) = if cfg.merge_window.is_some() {
-            let dir = Self::spill_dir(scale, seed);
-            let spilled = campaign.run_checkpointed_with_stats(&cfg, &dir, false);
-            let _ = std::fs::remove_dir_all(&dir);
-            match spilled {
-                Ok(out) => out,
-                Err(_) => campaign.run_with_stats(&cfg),
-            }
-        } else {
-            campaign.run_with_stats(&cfg)
-        };
+        let (dataset, stats) = campaign.run_with_stats(&cfg);
         World {
             campaign,
             view: DatasetView::new(dataset),
             scale,
             merge_stats: Some(stats),
         }
-    }
-
-    /// A collision-free scratch directory for the windowed-merge spill
-    /// journal. Derived from pid + seed + a process-wide counter — no
-    /// wall clock, no randomness.
-    fn spill_dir(scale: Scale, seed: u64) -> PathBuf {
-        static SPILL: AtomicUsize = AtomicUsize::new(0);
-        let n = SPILL.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "wheels-spill-{}-{scale:?}-{seed}-{n}",
-            std::process::id()
-        ))
     }
 
     /// Build a fresh world with crash-safe checkpointing: completed
@@ -293,12 +266,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_window_without_checkpoint_spills_through_a_temp_journal() {
+    fn merge_window_without_checkpoint_bounds_residency_by_backpressure() {
         // Pins the documented `--merge-window`-without-`--checkpoint`
-        // semantics: the build provisions a temp spill journal (rather
-        // than rejecting the combination), honors the residency bound,
-        // reports the merge telemetry, and produces bytes identical to
-        // the unwindowed build.
+        // semantics: the in-memory merge honors the residency bound by
+        // backpressure (no journal is written), reports the merge
+        // telemetry, and produces bytes identical to the unwindowed
+        // build.
         let w = World::build_tuned(
             Scale::Quick,
             2022,

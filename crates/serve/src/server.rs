@@ -20,7 +20,7 @@
 //!   in-flight requests, the ingest thread exits after its current
 //!   poll, and the final metrics snapshot is returned to the caller.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -102,6 +102,12 @@ struct Shared {
     next_conn: AtomicU64,
     opts: ServeOptions,
 }
+
+/// Longest request line a client may send, newline excluded. The
+/// longest valid request is well under 1 KiB; the cap bounds what a
+/// client that never sends a newline can make the server buffer (the
+/// per-read timeout does not fire while bytes keep trickling in).
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 const UNATTACHED: u64 = u64::MAX;
 const NO_DEADLINE: u64 = u64::MAX;
@@ -358,7 +364,9 @@ fn serve_conn(shared: &Shared, sock: TcpStream) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(sock);
-    let mut line = String::new();
+    let mut line = Vec::new();
+    // One byte past the cap tells an oversized line from a full one.
+    let limit = u64::try_from(MAX_REQUEST_BYTES + 1).unwrap_or(u64::MAX);
     loop {
         // Drain semantics: a request already read completes below even
         // during shutdown; here, between requests, we close instead of
@@ -367,15 +375,25 @@ fn serve_conn(shared: &Shared, sock: TcpStream) {
             return;
         }
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader).take(limit).read_until(b'\n', &mut line) {
             Ok(0) => return,
             Ok(_) => {
                 let t0 = Instant::now();
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
-                    continue;
-                }
-                let (mut resp, close) = shared.handle_line(trimmed);
+                let oversized = line.len() > MAX_REQUEST_BYTES && !line.ends_with(b"\n");
+                let (mut resp, close) = if oversized {
+                    shared.metrics.errors.inc();
+                    let msg = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+                    (protocol::error_line(&msg), true)
+                } else {
+                    let Ok(text) = std::str::from_utf8(&line) else {
+                        return;
+                    };
+                    let trimmed = text.trim();
+                    if trimmed.is_empty() {
+                        continue;
+                    }
+                    shared.handle_line(trimmed)
+                };
                 shared.metrics.requests.inc();
                 resp.push('\n');
                 let sent = writer
