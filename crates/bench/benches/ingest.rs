@@ -73,7 +73,7 @@ fn bench_scale(campaign: &Campaign, name: &'static str, scale: Scale, reps: usiz
     let mut rebuild_sources: Vec<_> = (0..reps).map(|_| full.clone()).collect();
     let rebuild_secs = best_of(reps, || {
         let src = rebuild_sources.pop().expect("one source per rep");
-        DatasetView::new(src).dataset().tput.len() as f64
+        DatasetView::new(src).columns().tput.len() as f64
     });
 
     // Incremental ingest: splice every plan-order shard into one
@@ -85,7 +85,7 @@ fn bench_scale(campaign: &Campaign, name: &'static str, scale: Scale, reps: usiz
         for rec in set {
             view.ingest_shard(rec);
         }
-        view.dataset().tput.len() as f64
+        view.columns().tput.len() as f64
     });
 
     // Streaming-merge residency: the engine reports how many completed

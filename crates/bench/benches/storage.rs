@@ -13,9 +13,9 @@
 //! cargo bench -p wheels-bench --bench storage -- --standard
 //! ```
 //!
-//! Both load paths go through [`wheels_core::column::load_dataset`] —
-//! exactly what `repro --load` runs — so the speedup column is the
-//! end-to-end parse-vs-decode ratio a user sees, not a microbenchmark.
+//! Both load paths go through [`DatasetView::load`] — exactly what
+//! `repro --load` runs: parse or decode, then index — so the speedup
+//! column is the end-to-end ratio a user sees, not a microbenchmark.
 //! The view-build columns compare `DatasetView::new` (normalize sort +
 //! columnarize + index build) against `DatasetView::from_columns`
 //! (decode order is already canonical, so the sort is skipped); both
@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use wheels_core::analysis::view::DatasetView;
-use wheels_core::column::{self, wcd};
+use wheels_core::column::wcd;
 use wheels_experiments::world::{Scale, World};
 
 fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
@@ -64,15 +64,15 @@ fn bench_scale(name: &'static str, scale: Scale, reps: usize) -> ScaleResult {
     let json_bytes = json.len();
     let bin_bytes = bin.len();
 
-    // Both loads run the `repro --load` path: auto-detect + full
-    // materialization back to row tables.
+    // Both loads run the `repro --load` path: auto-detect, load and
+    // index into a view.
     let json_parse_secs = best_of(reps, || {
-        let (loaded, _) = column::load_dataset(json.as_bytes()).expect("json loads");
-        loaded.tput.len() as f64
+        let (loaded, _) = DatasetView::load(json.as_bytes()).expect("json loads");
+        loaded.columns().tput.len() as f64
     });
     let bin_load_secs = best_of(reps, || {
-        let (loaded, _) = column::load_dataset(&bin).expect("binary loads");
-        loaded.tput.len() as f64
+        let (loaded, _) = DatasetView::load(&bin).expect("binary loads");
+        loaded.columns().tput.len() as f64
     });
 
     let json_encode_secs = best_of(reps, || {
@@ -90,13 +90,13 @@ fn bench_scale(name: &'static str, scale: Scale, reps: usize) -> ScaleResult {
     let mut row_sources: Vec<_> = (0..reps).map(|_| ds.clone()).collect();
     let view_rows_secs = best_of(reps, || {
         let src = row_sources.pop().expect("one pre-cloned source per rep");
-        DatasetView::new(src).dataset().tput.len() as f64
+        DatasetView::new(src).columns().tput.len() as f64
     });
     let mut col_sources: Vec<_> = (0..reps).map(|_| cols.clone()).collect();
     let view_cols_secs = best_of(reps, || {
         let src = col_sources.pop().expect("one pre-cloned source per rep");
         let v = DatasetView::from_columns(src).expect("columns are canonical");
-        v.dataset().tput.len() as f64
+        v.columns().tput.len() as f64
     });
 
     eprintln!(
@@ -165,9 +165,9 @@ fn main() {
         "{{\n  \"bench\": \"storage\",\n  \"host_cores\": {},\n  \"note\": \"{}\",\n  \
          \"scales\": [\n{}\n  ]\n}}\n",
         cores,
-        "load timings run the repro --load path (auto-detect + materialize rows); \
-         view-build timings consume pre-cloned source tables, so the rows-vs-cols \
-         delta is purely the normalize sort the columnar path skips",
+        "load timings run the repro --load path (auto-detect + load + index into a \
+         view); view-build timings consume pre-cloned source tables, so the \
+         rows-vs-cols delta is purely the normalize sort the columnar path skips",
         scales.join(",\n")
     );
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))

@@ -8,7 +8,7 @@
 //! The batched kernel is [`correlate_cols`]: it gathers each KPI from
 //! the contiguous [`TputColumns`] slices through a position index, one
 //! column at a time, instead of striding over row structs six times. The
-//! row-based entry points remain as thin shims that columnarize first.
+//! row-based entry points ([`correlate`], [`table2`]) columnarize first.
 
 use serde::{Deserialize, Serialize};
 use wheels_radio::tech::Direction;
@@ -110,31 +110,19 @@ pub struct CorrelationRow {
     pub n: usize,
 }
 
-/// Compute one row from driving throughput samples.
+/// Compute one row from driving throughput samples: columnarize the
+/// matching rows once and run the batched kernel, so every entry point
+/// shares [`correlate_cols`]'s column-slice math.
 pub fn correlate(
     samples: &[TputSample],
     operator: Operator,
     direction: Direction,
 ) -> CorrelationRow {
-    correlate_rows(
-        samples
-            .iter()
-            .filter(|s| s.operator == operator && s.direction == direction && s.driving),
-        operator,
-        direction,
-    )
-}
-
-/// [`correlate`] over pre-filtered samples: a compat shim that
-/// columnarizes the rows once and runs the batched kernel, so every
-/// entry point shares [`correlate_cols`]'s column-slice math.
-pub fn correlate_rows<'a>(
-    samples: impl IntoIterator<Item = &'a TputSample>,
-    operator: Operator,
-    direction: Direction,
-) -> CorrelationRow {
     let mut cols = TputColumns::default();
-    for s in samples {
+    for s in samples
+        .iter()
+        .filter(|s| s.operator == operator && s.direction == direction && s.driving)
+    {
         cols.push(s);
     }
     let idx: Vec<u32> = (0..u32::try_from(cols.len()).expect("table exceeds u32 rows")).collect();

@@ -1,9 +1,11 @@
 //! Coverage analysis (Figs. 1–2): miles-weighted technology shares.
 //!
-//! The `*_cols` kernels are the batched path: they gather technology
-//! codes and miles weights from the contiguous [`CoverageColumns`]
-//! slices through a position index (the view's per-operator coverage
-//! index), touching exactly the two or three columns each figure needs.
+//! The `*_cols` kernels are the one implementation of each share: they
+//! gather technology codes and miles weights from the contiguous
+//! [`CoverageColumns`] slices through a position index (the view's
+//! per-operator coverage index), touching exactly the two or three
+//! columns each figure needs. [`overall`] is the row-slice entry point
+//! for callers holding exported rows.
 
 use std::collections::BTreeMap;
 
@@ -13,7 +15,7 @@ use wheels_sim_core::stats::WeightedShare;
 use wheels_sim_core::time::Timezone;
 use wheels_sim_core::units::{Speed, SpeedBin};
 
-use crate::analysis::view::at;
+use crate::analysis::view::{at, VALID};
 use crate::column::{self, CoverageColumns};
 use crate::records::CoverageSample;
 
@@ -64,81 +66,29 @@ impl TechShare {
     }
 }
 
-/// Fig. 2a: per-operator overall technology share of miles driven.
+/// Fig. 2a over a row slice: one operator's technology share of miles
+/// driven. Columnarizes the operator's samples once and runs
+/// [`overall_cols`], the one implementation of the number.
 pub fn overall(samples: &[CoverageSample], op: Operator) -> TechShare {
-    overall_from(samples.iter().filter(|s| s.operator == op))
-}
-
-/// [`overall`] over pre-filtered samples (the dataset-view path).
-pub fn overall_from<'a>(samples: impl IntoIterator<Item = &'a CoverageSample>) -> TechShare {
-    let mut out = TechShare::default();
-    for s in samples {
-        out.add(s.tech, s.miles);
+    let mut cov = CoverageColumns::default();
+    for s in samples.iter().filter(|s| s.operator == op) {
+        cov.push(s);
     }
-    out
-}
-
-/// Fig. 2b: share split by backlogged traffic direction.
-pub fn by_direction(samples: &[CoverageSample], op: Operator) -> BTreeMap<Direction, TechShare> {
-    by_direction_from(samples.iter().filter(|s| s.operator == op))
-}
-
-/// [`by_direction`] over pre-filtered samples.
-pub fn by_direction_from<'a>(
-    samples: impl IntoIterator<Item = &'a CoverageSample>,
-) -> BTreeMap<Direction, TechShare> {
-    let mut out: BTreeMap<Direction, TechShare> = BTreeMap::new();
-    for s in samples {
-        if let Some(dir) = s.direction {
-            out.entry(dir).or_default().add(s.tech, s.miles);
-        }
-    }
-    out
-}
-
-/// Fig. 2c: share per timezone.
-pub fn by_timezone(samples: &[CoverageSample], op: Operator) -> BTreeMap<Timezone, TechShare> {
-    by_timezone_from(samples.iter().filter(|s| s.operator == op))
-}
-
-/// [`by_timezone`] over pre-filtered samples.
-pub fn by_timezone_from<'a>(
-    samples: impl IntoIterator<Item = &'a CoverageSample>,
-) -> BTreeMap<Timezone, TechShare> {
-    let mut out: BTreeMap<Timezone, TechShare> = BTreeMap::new();
-    for s in samples {
-        out.entry(s.tz).or_default().add(s.tech, s.miles);
-    }
-    out
-}
-
-/// Fig. 2d: share per speed bin.
-pub fn by_speed_bin(samples: &[CoverageSample], op: Operator) -> BTreeMap<SpeedBin, TechShare> {
-    by_speed_bin_from(samples.iter().filter(|s| s.operator == op))
-}
-
-/// [`by_speed_bin`] over pre-filtered samples.
-pub fn by_speed_bin_from<'a>(
-    samples: impl IntoIterator<Item = &'a CoverageSample>,
-) -> BTreeMap<SpeedBin, TechShare> {
-    let mut out: BTreeMap<SpeedBin, TechShare> = BTreeMap::new();
-    for s in samples {
-        out.entry(SpeedBin::of(Speed::from_mph(s.speed_mph)))
-            .or_default()
-            .add(s.tech, s.miles);
-    }
-    out
+    let idx: Vec<u32> = (0..u32::try_from(cov.len()).expect("table exceeds u32 rows")).collect();
+    overall_cols(&cov, &idx)
 }
 
 /// Decode one sentinel-coded technology byte from a view-owned column;
-/// those columns were produced by `from_rows` or validated by `to_rows`,
-/// so a bad code is a programming error, not an input error.
+/// those columns were produced by `from_rows` or validated by
+/// `ColumnarDataset::check`, so a bad code is a programming error, not
+/// an input error.
 fn tech_at(cov: &CoverageColumns, i: u32) -> Option<Technology> {
-    column::tech_opt_from(*at(&cov.tech, i)).expect("view columns carry validated codes")
+    column::tech_opt_from(*at(&cov.tech, i)).expect(VALID)
 }
 
-/// [`overall`] over column slices: one pass gathering `(tech, miles)`
-/// through the position index.
+/// Fig. 2a: technology share of miles over the positions in `idx` (the
+/// view's per-operator coverage index): one pass gathering
+/// `(tech, miles)`.
 pub fn overall_cols(cov: &CoverageColumns, idx: &[u32]) -> TechShare {
     let mut out = TechShare::default();
     for &i in idx {
@@ -147,8 +97,8 @@ pub fn overall_cols(cov: &CoverageColumns, idx: &[u32]) -> TechShare {
     out
 }
 
-/// [`by_direction`] over column slices; rows without a backlogged
-/// direction ([`column::NONE_CODE`]) are skipped, as in the row path.
+/// Fig. 2b: share split by backlogged traffic direction; rows without a
+/// backlogged direction ([`column::NONE_CODE`]) are skipped.
 pub fn by_direction_cols(cov: &CoverageColumns, idx: &[u32]) -> BTreeMap<Direction, TechShare> {
     let mut out: BTreeMap<Direction, TechShare> = BTreeMap::new();
     for &i in idx {
@@ -156,7 +106,7 @@ pub fn by_direction_cols(cov: &CoverageColumns, idx: &[u32]) -> BTreeMap<Directi
         if code == column::NONE_CODE {
             continue;
         }
-        let dir = column::dir_from(code).expect("view columns carry validated codes");
+        let dir = column::dir_from(code).expect(VALID);
         out.entry(dir)
             .or_default()
             .add(tech_at(cov, i), *at(&cov.miles, i));
@@ -164,11 +114,11 @@ pub fn by_direction_cols(cov: &CoverageColumns, idx: &[u32]) -> BTreeMap<Directi
     out
 }
 
-/// [`by_timezone`] over column slices.
+/// Fig. 2c: share per timezone.
 pub fn by_timezone_cols(cov: &CoverageColumns, idx: &[u32]) -> BTreeMap<Timezone, TechShare> {
     let mut out: BTreeMap<Timezone, TechShare> = BTreeMap::new();
     for &i in idx {
-        let tz = column::tz_from(*at(&cov.tz, i)).expect("view columns carry validated codes");
+        let tz = column::tz_from(*at(&cov.tz, i)).expect(VALID);
         out.entry(tz)
             .or_default()
             .add(tech_at(cov, i), *at(&cov.miles, i));
@@ -176,7 +126,7 @@ pub fn by_timezone_cols(cov: &CoverageColumns, idx: &[u32]) -> BTreeMap<Timezone
     out
 }
 
-/// [`by_speed_bin`] over column slices.
+/// Fig. 2d: share per speed bin.
 pub fn by_speed_bin_cols(cov: &CoverageColumns, idx: &[u32]) -> BTreeMap<SpeedBin, TechShare> {
     let mut out: BTreeMap<SpeedBin, TechShare> = BTreeMap::new();
     for &i in idx {
@@ -227,6 +177,19 @@ mod tests {
     use super::*;
     use wheels_geo::route::ZoneClass;
     use wheels_sim_core::time::SimTime;
+
+    /// Columnarize `samples` and index the rows of `op`.
+    fn cols_of(samples: &[CoverageSample], op: Operator) -> (CoverageColumns, Vec<u32>) {
+        let mut cov = CoverageColumns::default();
+        let mut idx = Vec::new();
+        for (i, s) in samples.iter().enumerate() {
+            cov.push(s);
+            if s.operator == op {
+                idx.push(u32::try_from(i).expect("small test table"));
+            }
+        }
+        (cov, idx)
+    }
 
     fn cov(
         op: Operator,
@@ -314,7 +277,8 @@ mod tests {
                 5.0,
             ),
         ];
-        let by_dir = by_direction(&samples, Operator::TMobile);
+        let (cov, idx) = cols_of(&samples, Operator::TMobile);
+        let by_dir = by_direction_cols(&cov, &idx);
         assert!((by_dir[&Direction::Downlink].pct_high_speed() - 100.0).abs() < 1e-9);
         assert!((by_dir[&Direction::Uplink].pct_high_speed() - 0.0).abs() < 1e-9);
     }
@@ -339,10 +303,11 @@ mod tests {
                 1.0,
             ),
         ];
-        let tz = by_timezone(&samples, Operator::Att);
+        let (cov, idx) = cols_of(&samples, Operator::Att);
+        let tz = by_timezone_cols(&cov, &idx);
         assert_eq!(tz.len(), 2);
         assert!((tz[&Timezone::Eastern].pct_5g() - 100.0).abs() < 1e-9);
-        let sb = by_speed_bin(&samples, Operator::Att);
+        let sb = by_speed_bin_cols(&cov, &idx);
         assert!((sb[&SpeedBin::High].pct(Technology::LteA) - 100.0).abs() < 1e-9);
         assert!((sb[&SpeedBin::Low].pct(Technology::Nr5gLow) - 100.0).abs() < 1e-9);
     }

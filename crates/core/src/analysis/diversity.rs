@@ -80,23 +80,25 @@ pub fn pair_samples(
     pair_samples_joined(
         samples
             .iter()
-            .filter(|s| s.operator == a && s.direction == dir && s.driving),
+            .filter(|s| s.operator == a && s.direction == dir && s.driving)
+            .copied(),
         samples
             .iter()
-            .filter(|s| s.operator == b && s.direction == dir && s.driving),
+            .filter(|s| s.operator == b && s.direction == dir && s.driving)
+            .copied(),
     )
 }
 
 /// [`pair_samples`] over two pre-filtered sample streams (the
 /// dataset-view path: each stream is one (operator, direction, driving)
 /// partition).
-pub fn pair_samples_joined<'a>(
-    a: impl IntoIterator<Item = &'a TputSample>,
-    b: impl IntoIterator<Item = &'a TputSample>,
+pub fn pair_samples_joined(
+    a: impl IntoIterator<Item = TputSample>,
+    b: impl IntoIterator<Item = TputSample>,
 ) -> Vec<PairSample> {
     // BTreeMap so the join below walks bins in time order — with a hash
     // map, ties in `diff_mbps` would land in input-dependent order.
-    fn index<'a>(it: impl IntoIterator<Item = &'a TputSample>) -> BTreeMap<u64, &'a TputSample> {
+    fn index(it: impl IntoIterator<Item = TputSample>) -> BTreeMap<u64, TputSample> {
         it.into_iter().map(|s| (s.t.as_millis() / 500, s)).collect()
     }
     let ia = index(a);

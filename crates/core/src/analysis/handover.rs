@@ -14,29 +14,35 @@ use wheels_radio::tech::Direction;
 use wheels_ran::operator::Operator;
 use wheels_ran::session::HandoverKind;
 
-use crate::analysis::view::at;
+use crate::analysis::view::{at, DatasetView, VALID};
+use crate::column::{self, dir_code, kind_code, op_code, HandoverColumns, RunColumns, TputColumns};
 use crate::records::{Dataset, TestKind};
 
-/// Per-test handover rate (Fig. 11a).
-pub fn handovers_per_mile(ds: &Dataset, op: Operator, dir: Direction) -> Vec<f64> {
-    let kind = match dir {
+/// Per-test handover rate (Fig. 11a) over the run columns.
+pub fn handovers_per_mile(runs: &RunColumns, op: Operator, dir: Direction) -> Vec<f64> {
+    let kind = kind_code(match dir {
         Direction::Downlink => TestKind::DownlinkTput,
         Direction::Uplink => TestKind::UplinkTput,
-    };
-    ds.runs
-        .iter()
-        .filter(|r| r.operator == op && r.kind == kind && r.driving && r.miles > 0.05)
-        .map(|r| r.handovers as f64 / r.miles)
+    });
+    let op = op_code(op);
+    (0..runs.len())
+        .filter(|&i| {
+            runs.operator[i] == op
+                && runs.kind[i] == kind
+                && runs.driving[i] == 1
+                && runs.miles[i] > 0.05
+        })
+        .map(|i| runs.handovers[i] as f64 / runs.miles[i])
         .collect()
 }
 
-/// Interruption durations in ms (Fig. 11b), filtered to handovers that
-/// occurred during throughput tests in `dir`.
-pub fn durations_ms(ds: &Dataset, op: Operator, dir: Direction) -> Vec<f64> {
-    ds.handovers
-        .iter()
-        .filter(|h| h.operator == op && h.direction == Some(dir))
-        .map(|h| h.event.duration.as_millis() as f64)
+/// Interruption durations in ms (Fig. 11b) over the handover columns,
+/// filtered to handovers that occurred during throughput tests in `dir`.
+pub fn durations_ms(hos: &HandoverColumns, op: Operator, dir: Direction) -> Vec<f64> {
+    let (op, dir) = (op_code(op), dir_code(dir));
+    (0..hos.len())
+        .filter(|&i| hos.operator[i] == op && hos.direction[i] == dir)
+        .map(|i| hos.duration_ms[i] as f64)
         .collect()
 }
 
@@ -56,48 +62,44 @@ pub struct HoImpact {
 }
 
 /// Compute ΔT₁/ΔT₂ for every handover that happened inside a throughput
-/// test with enough surrounding samples.
+/// test with enough surrounding samples — the row entry point: it
+/// indexes a normalized copy of `ds` and runs [`impacts_indexed`]
+/// through the view.
 pub fn impacts(ds: &Dataset) -> Vec<HoImpact> {
-    // Index throughput samples by test.
-    let mut by_test: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for (i, s) in ds.tput.iter().enumerate() {
-        by_test
-            .entry(s.test_id)
-            .or_default()
-            .push(u32::try_from(i).expect("tput table exceeds u32 rows"));
-    }
-    for v in by_test.values_mut() {
-        v.sort_by_key(|&i| at(&ds.tput, i).t);
-    }
-    impacts_indexed(ds, &by_test)
+    DatasetView::new(ds.clone()).impacts().to_vec()
 }
 
-/// Like [`impacts`], but reusing a prebuilt by-test position index whose
-/// groups are time-ascending — the [`DatasetView`] path, where the index
-/// is shared with the per-test figure queries.
-///
-/// [`DatasetView`]: crate::analysis::view::DatasetView
-pub fn impacts_indexed(ds: &Dataset, by_test: &BTreeMap<u32, Vec<u32>>) -> Vec<HoImpact> {
+/// The impact kernel over the columns, reusing a by-test position index
+/// into `tput` whose groups are time-ascending — the [`DatasetView`]
+/// path, where the index is shared with the per-test figure queries.
+/// The handover columns must carry valid codes.
+pub fn impacts_indexed(
+    tput: &TputColumns,
+    hos: &HandoverColumns,
+    by_test: &BTreeMap<u32, Vec<u32>>,
+) -> Vec<HoImpact> {
     let mut out = Vec::new();
-    for h in &ds.handovers {
-        let Some(test_id) = h.test_id else { continue };
-        let Some(dir) = h.direction else { continue };
-        let Some(pos) = by_test.get(&test_id) else {
+    for h in 0..hos.len() {
+        if hos.test_valid[h] == 0 || hos.direction[h] == column::NONE_CODE {
+            continue;
+        }
+        let Some(pos) = by_test.get(&hos.test_id[h]) else {
             continue;
         };
         // Bin containing the handover start.
-        let k = pos.partition_point(|&i| at(&ds.tput, i).t <= h.event.start);
+        let start = hos.start_ms[h];
+        let k = pos.partition_point(|&i| *at(&tput.t_ms, i) <= start);
         let Some(k) = k.checked_sub(1) else { continue };
         if k < 2 || k + 2 >= pos.len() {
             continue; // not enough context around the HO
         }
-        let t = |i: usize| at(&ds.tput, pos[i]).mbps;
+        let t = |i: usize| *at(&tput.mbps, pos[i]);
         out.push(HoImpact {
             delta_t1: t(k) - (t(k - 1) + t(k + 1)) / 2.0,
             delta_t2: (t(k + 1) + t(k + 2)) / 2.0 - (t(k - 2) + t(k - 1)) / 2.0,
-            kind: h.event.kind,
-            operator: h.operator,
-            direction: dir,
+            kind: column::ho_from(hos.kind[h]).expect(VALID),
+            operator: column::op_from(hos.operator[h]).expect(VALID),
+            direction: column::dir_from(hos.direction[h]).expect(VALID),
         });
     }
     out
@@ -131,6 +133,7 @@ mod tests {
     use wheels_sim_core::time::{SimDuration, SimTime, Timezone};
     use wheels_transport::servers::ServerKind;
 
+    use crate::column::ColumnarDataset;
     use crate::records::{TaggedHandover, TestRun, TputSample};
 
     fn sample(test_id: u32, t: SimTime, mbps: f64) -> TputSample {
@@ -277,11 +280,12 @@ mod tests {
             driving: true,
             partial: false,
         });
-        let dl = handovers_per_mile(&ds, Operator::Verizon, Direction::Downlink);
+        let runs = ColumnarDataset::from_rows(&ds).runs;
+        let dl = handovers_per_mile(&runs, Operator::Verizon, Direction::Downlink);
         assert_eq!(dl, vec![4.0]);
-        let ul = handovers_per_mile(&ds, Operator::Verizon, Direction::Uplink);
+        let ul = handovers_per_mile(&runs, Operator::Verizon, Direction::Uplink);
         assert_eq!(ul, vec![12.0]);
-        assert!(handovers_per_mile(&ds, Operator::Att, Direction::Downlink).is_empty());
+        assert!(handovers_per_mile(&runs, Operator::Att, Direction::Downlink).is_empty());
     }
 
     #[test]
@@ -292,14 +296,15 @@ mod tests {
         let mut ul = ho(2, SimTime::EPOCH, Technology::Lte, Technology::Lte);
         ul.direction = Some(Direction::Uplink);
         ds.handovers.push(ul);
+        let hos = ColumnarDataset::from_rows(&ds).handovers;
         assert_eq!(
-            durations_ms(&ds, Operator::Verizon, Direction::Downlink).len(),
+            durations_ms(&hos, Operator::Verizon, Direction::Downlink).len(),
             1
         );
         assert_eq!(
-            durations_ms(&ds, Operator::Verizon, Direction::Uplink).len(),
+            durations_ms(&hos, Operator::Verizon, Direction::Uplink).len(),
             1
         );
-        assert!(durations_ms(&ds, Operator::TMobile, Direction::Downlink).is_empty());
+        assert!(durations_ms(&hos, Operator::TMobile, Direction::Downlink).is_empty());
     }
 }

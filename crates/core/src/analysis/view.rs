@@ -1,4 +1,4 @@
-//! Indexed, memoized views over a normalized [`Dataset`].
+//! Indexed, memoized views over a normalized, columnar dataset.
 //!
 //! Every figure module filters the same flat tables by the same handful
 //! of dimensions (operator × direction × driving, then technology /
@@ -13,38 +13,44 @@
 //!
 //! Figure values are unchanged: the view yields the same samples in the
 //! same order as [`Dataset::tput_where`]/[`Dataset::rtt_where`] on the
-//! normalized dataset, and the memoized Cdfs hold the identical sorted
+//! normalized row dataset, and the memoized Cdfs hold the identical sorted
 //! multiset `Cdf::from_samples` would produce (a property test in
 //! `crates/core/tests/view_properties.rs` pins both claims against the
 //! brute-force filters on shuffled inserts).
 //!
-//! The view is `Sync` (plain tables plus `OnceLock` memo slots), so one
+//! The view is `Sync` (plain columns plus `OnceLock` memo slots), so one
 //! instance can back the parallel experiment runner without locking.
 //!
-//! Since the columnar refactor the view owns *both* layouts: the row
-//! tables (the public iterator API hands out `&TputSample` etc.) and
-//! their [`ColumnarDataset`] twin. Index building and every bulk numeric
-//! gather (sorted-sample Cdf runs, correlation inputs, coverage shares)
-//! scan the contiguous column slices; the enum-code columns are the
-//! `index()` values the partition math wants, so the build loop never
-//! touches a row struct.
+//! The view owns exactly one layout: a [`ColumnarDataset`]. Index
+//! building and every bulk numeric gather (sorted-sample Cdf runs,
+//! correlation inputs, coverage shares, handover kernels) scan the
+//! contiguous column slices; the enum-code columns are the `index()`
+//! values the partition math wants, so the build loop never touches a
+//! row struct. The row iterators (`tput_iter`, `rtt_tech`, `runs`, …)
+//! yield `Copy` rows assembled on the fly by the `*Columns::row`
+//! accessors, and a row [`Dataset`] exists only at the JSON export
+//! boundary ([`DatasetView::to_dataset`]). Every code column was
+//! validated by [`ColumnarDataset::check`] on the way in (or written
+//! from typed rows), so decoding a view-owned code cannot fail.
 //!
 //! # Incremental ingest
 //!
 //! [`DatasetView::ingest_shard`] folds one completed campaign shard
 //! into a live view without a rebuild: the big sample tables (tput,
-//! rtt, coverage) are *appended* to the raw storage and every affected
+//! rtt, coverage) are *appended* to the columns and every affected
 //! permutation index is extended by a binary-splice merge of the
 //! shard's pre-sorted position run — so the raw tables end up in
 //! arrival order while every indexed accessor keeps yielding canonical
 //! `normalize` order, and `OnceLock` memos are re-armed only for the
 //! partitions and combos the shard actually touched. The small tables
 //! (runs, handovers, apps, audits) stay *physically* canonical (the
-//! handover-impact kernel and the figure code iterate them raw), which
-//! is cheap because they are thousands of times smaller than the
-//! sample tables. [`DatasetView::from_journal`] replays a checkpoint
-//! journal frame-by-frame through the same path, so `run_checkpointed`,
-//! `--resume`, and a future `wheels-serve` share one pipeline.
+//! handover kernels and the figure code iterate them raw) by merging
+//! through transient rows, which is cheap because they are thousands of
+//! times smaller than the sample tables (plan-order app runs skip even
+//! that and append in place). [`DatasetView::from_journal`] replays a
+//! checkpoint journal frame-by-frame through the same path, so
+//! `run_checkpointed`, `--resume`, and `wheels-serve` share one
+//! pipeline.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -54,19 +60,17 @@ use wheels_radio::tech::{Direction, Technology};
 use wheels_ran::cells::CellId;
 use wheels_ran::operator::Operator;
 use wheels_sim_core::stats::Cdf;
-use wheels_sim_core::time::Timezone;
+use wheels_sim_core::time::{SimTime, Timezone};
 use wheels_sim_core::units::{Speed, SpeedBin};
 
 use crate::analysis::correlation::{self, CorrelationRow};
 use crate::analysis::coverage::{self, TechShare};
 use crate::analysis::handover::{self, HoImpact};
-use crate::campaign::apply_table1_accounting;
+use crate::campaign::table1_accounting;
 use crate::checkpoint::{self, CheckpointError, Fingerprint, TailState};
-use crate::column::{
-    op_code, AppColumns, AuditColumns, ColumnError, ColumnarDataset, HandoverColumns, RunColumns,
-};
+use crate::column::{self, wcd, AppColumns, ColumnError, ColumnarDataset};
 use crate::records::{
-    merge_sorted_by_key, CoverageSample, Dataset, RttSample, ShardRecords, TputSample,
+    AppRun, CoverageSample, Dataset, RttSample, ShardRecords, TestAudit, TestRun, TputSample,
 };
 
 const OPS: usize = Operator::ALL.len();
@@ -89,6 +93,15 @@ const RTT_COMBOS: usize = (OPS + 1) * 3;
 pub(crate) fn at<T>(table: &[T], pos: u32) -> &T {
     // lint: allow(lossy-cast, u32 position to usize is widening on every supported target)
     &table[pos as usize]
+}
+
+/// Decoding a view-owned code cannot fail: every column was validated
+/// by [`ColumnarDataset::check`] or written from typed rows.
+pub(crate) const VALID: &str = "view columns carry validated codes";
+
+/// Every row of a view-owned table, in stored order.
+fn all_rows<T>(len: usize, row: impl Fn(u32) -> Result<T, ColumnError>) -> impl Iterator<Item = T> {
+    (0..len).map(move |i| row(u32::try_from(i).expect("table exceeds u32 rows")).expect(VALID))
 }
 
 fn dir_index(d: Direction) -> usize {
@@ -275,7 +288,7 @@ fn merge_indices<K: Ord>(runs: &[&[u32]], key: impl Fn(u32) -> K) -> Vec<u32> {
 
 #[derive(Default)]
 struct TputPart {
-    /// Positions into `Dataset::tput`, ascending.
+    /// Positions into the tput columns, in canonical key order.
     idx: Vec<u32>,
     by_tech: [Vec<u32>; TECHS],
     by_tz: [Vec<u32>; TZS],
@@ -303,7 +316,8 @@ impl TputPart {
 
 #[derive(Default)]
 struct RttPart {
-    /// Positions into `Dataset::rtt` (lost pings included), ascending.
+    /// Positions into the rtt columns (lost pings included), in
+    /// canonical key order.
     idx: Vec<u32>,
     by_tech: [Vec<u32>; TECHS],
     by_bin_tech: [[Vec<u32>; TECHS]; BINS],
@@ -329,12 +343,10 @@ impl RttPart {
     }
 }
 
-/// Indexed view over an owned, normalized [`Dataset`]. See the module
-/// docs for the guarantees.
+/// Indexed view over an owned, normalized [`ColumnarDataset`]. See the
+/// module docs for the guarantees.
 pub struct DatasetView {
-    ds: Dataset,
-    /// Struct-of-arrays twin of `ds`, row-aligned position for position;
-    /// all bulk numeric gathers go through these columns.
+    /// The dataset, the view's only copy of the data.
     cols: ColumnarDataset,
     tput_parts: Vec<TputPart>,
     rtt_parts: Vec<RttPart>,
@@ -363,87 +375,57 @@ pub struct DatasetView {
 }
 
 impl DatasetView {
-    /// Normalize `ds` (idempotent) and build all eager indices. Lazy
-    /// memos (sorted runs, merged combos, Cdfs, impacts) fill on first
-    /// use.
+    /// Normalize `ds` (idempotent), columnarize it and build all eager
+    /// indices; the rows are dropped. Lazy memos (sorted runs, merged
+    /// combos, Cdfs, impacts) fill on first use.
     pub fn new(mut ds: Dataset) -> DatasetView {
         ds.normalize();
-        let cols = ColumnarDataset::from_rows(&ds);
-        // Satellite invariant: columnarization must preserve dataset
-        // order, or every figure multiset would silently reorder.
-        debug_assert!(
-            cols.is_normalized(),
-            "from_rows reordered a normalized dataset"
-        );
-        Self::build(ds, cols)
+        Self::build(ColumnarDataset::from_rows(&ds))
     }
 
     /// Build a view directly from a decoded [`ColumnarDataset`] (the
-    /// binary-load path): reconstruct the row tables for the iterator
-    /// API and index straight off the columns, skipping the normalize
-    /// sort a row-side build pays — WCD1 files store canonical order.
+    /// binary-load path): validate every column, then index straight off
+    /// the columns, skipping the normalize sort a row-side build pays —
+    /// WCD1 files store canonical order. A valid but unsorted file
+    /// (foreign or hand-built) is re-sorted through rows first, so the
+    /// order guarantee holds either way.
     pub fn from_columns(cols: ColumnarDataset) -> Result<DatasetView, ColumnError> {
-        let mut ds = cols.to_rows()?;
-        debug_assert!(
-            cols.is_normalized(),
-            "columnar dataset left canonical order on disk"
-        );
+        cols.check()?;
         if !cols.is_normalized() {
-            // Foreign/hand-built files may be unsorted; fall back to the
-            // full normalize + rebuild so the order guarantee holds.
-            ds.normalize();
-            return Ok(Self::new(ds));
+            return Ok(Self::new(cols.to_rows()?));
         }
-        Ok(Self::build(ds, cols))
+        Ok(Self::build(cols))
     }
 
-    /// Index builder over the column slices. `ds` and `cols` must be the
-    /// same normalized dataset, row-aligned position for position.
-    fn build(ds: Dataset, cols: ColumnarDataset) -> DatasetView {
-        let t = &cols.tput;
-        let mut tput_parts: Vec<TputPart> = (0..TPUT_PARTS).map(|_| TputPart::default()).collect();
-        let mut tput_by_test: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for i in 0..t.len() {
-            let tech = usize::from(t.tech[i]);
-            let p = &mut tput_parts[tpart(
-                usize::from(t.operator[i]),
-                usize::from(t.direction[i]),
-                usize::from(t.driving[i]),
-            )];
-            push_pos(&mut p.idx, i);
-            push_pos(&mut p.by_tech[tech], i);
-            push_pos(&mut p.by_tz[usize::from(t.tz[i])], i);
-            let b = bin_index(SpeedBin::of(Speed::from_mph(t.speed_mph[i])));
-            push_pos(&mut p.by_bin_tech[b][tech], i);
-            push_pos(tput_by_test.entry(t.test_id[i]).or_default(), i);
+    /// Load an exported dataset, auto-detecting the format: WCD1 bytes
+    /// decode without a parse step and are indexed through
+    /// [`DatasetView::from_columns`]; anything else is read as the pinned
+    /// JSON interchange format and indexed through [`DatasetView::new`].
+    /// Returns the view plus the detected format (`"bin"` / `"json"`).
+    pub fn load(bytes: &[u8]) -> Result<(DatasetView, &'static str), ColumnError> {
+        if bytes.starts_with(wcd::MAGIC) {
+            let cols = wcd::decode(bytes).map_err(|e| ColumnError(e.to_string()))?;
+            Ok((Self::from_columns(cols)?, "bin"))
+        } else {
+            let text = std::str::from_utf8(bytes).map_err(|_| {
+                ColumnError("dataset file is neither WCD1 nor UTF-8 JSON".to_string())
+            })?;
+            let ds = serde_json::from_str(text)
+                .map_err(|e| ColumnError(format!("JSON dataset does not parse: {e}")))?;
+            Ok((Self::new(ds), "json"))
         }
+    }
 
-        let r = &cols.rtt;
-        let mut rtt_parts: Vec<RttPart> = (0..RTT_PARTS).map(|_| RttPart::default()).collect();
-        let mut rtt_by_test: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-        for i in 0..r.len() {
-            let tech = usize::from(r.tech[i]);
-            let p = &mut rtt_parts[rpart(usize::from(r.operator[i]), usize::from(r.driving[i]))];
-            push_pos(&mut p.idx, i);
-            push_pos(&mut p.by_tech[tech], i);
-            let b = bin_index(SpeedBin::of(Speed::from_mph(r.speed_mph[i])));
-            push_pos(&mut p.by_bin_tech[b][tech], i);
-            push_pos(rtt_by_test.entry(r.test_id[i]).or_default(), i);
-        }
-
-        let mut cov_idx: [Vec<u32>; OPS] = Default::default();
-        for (i, &op) in cols.coverage.operator.iter().enumerate() {
-            push_pos(&mut cov_idx[usize::from(op)], i);
-        }
-
-        DatasetView {
-            ds,
+    /// Index a normalized, validated dataset: the same per-table
+    /// indexing pass ingest runs on an appended shard, over every row.
+    fn build(cols: ColumnarDataset) -> DatasetView {
+        let mut view = DatasetView {
             cols,
-            tput_parts,
-            rtt_parts,
-            cov_idx,
-            tput_by_test,
-            rtt_by_test,
+            tput_parts: (0..TPUT_PARTS).map(|_| TputPart::default()).collect(),
+            rtt_parts: (0..RTT_PARTS).map(|_| RttPart::default()).collect(),
+            cov_idx: Default::default(),
+            tput_by_test: BTreeMap::new(),
+            rtt_by_test: BTreeMap::new(),
             tput_merged: std::array::from_fn(|_| OnceLock::new()),
             rtt_merged: std::array::from_fn(|_| OnceLock::new()),
             tput_cdfs: std::array::from_fn(|_| OnceLock::new()),
@@ -451,23 +433,44 @@ impl DatasetView {
             impacts: OnceLock::new(),
             cell_sets: vec![BTreeSet::new(); OPS],
             log_base: 0.0,
-        }
+        };
+        view.index_tput(0);
+        view.index_rtt(0);
+        view.index_coverage(0);
+        view
     }
 
-    /// The owned, normalized dataset (for tables the view does not index:
-    /// runs, handovers, apps, Table-1 aggregates).
-    pub fn dataset(&self) -> &Dataset {
-        &self.ds
-    }
-
-    /// The columnar twin, row-aligned with [`DatasetView::dataset`] —
-    /// what the batched kernels scan and what the WCD1 writer persists.
+    /// The columns — what the batched kernels scan and what the WCD1
+    /// writer persists. The big sample tables are in arrival order once
+    /// shards have been ingested; the indexed accessors restore
+    /// canonical order.
     pub fn columns(&self) -> &ColumnarDataset {
         &self.cols
     }
 
-    /// Positions matching the filter, in dataset (time) order — the same
-    /// visit order as a linear `tput_where` scan.
+    /// The dataset as rows in canonical order — the JSON export
+    /// boundary, and the only place the view materializes a row
+    /// [`Dataset`]. The stable re-sort restores physical canonical order
+    /// after ingest (which appends the sample tables in arrival order),
+    /// so the export is byte-identical to a plan-order campaign merge
+    /// whenever canonical keys are shard-unique — which the simulator
+    /// guarantees.
+    pub fn to_dataset(&self) -> Dataset {
+        let mut ds = self.cols.to_rows().expect(VALID);
+        ds.normalize();
+        ds
+    }
+
+    fn tput_row(&self, i: u32) -> TputSample {
+        self.cols.tput.row(i).expect(VALID)
+    }
+
+    fn rtt_row(&self, i: u32) -> RttSample {
+        self.cols.rtt.row(i).expect(VALID)
+    }
+
+    /// Positions matching the filter, in canonical (time) order — the
+    /// same visit order as a linear `tput_where` scan.
     fn tput_index(
         &self,
         op: Option<Operator>,
@@ -508,10 +511,10 @@ impl DatasetView {
         op: Option<Operator>,
         dir: Option<Direction>,
         driving: Option<bool>,
-    ) -> impl Iterator<Item = &TputSample> {
+    ) -> impl Iterator<Item = TputSample> + '_ {
         self.tput_index(op, dir, driving)
             .iter()
-            .map(|&i| at(&self.ds.tput, i))
+            .map(|&i| self.tput_row(i))
     }
 
     /// Memoized Cdf of `mbps` over the filter — the sorted multiset
@@ -538,11 +541,11 @@ impl DatasetView {
         dir: Direction,
         driving: bool,
         tech: Technology,
-    ) -> impl Iterator<Item = &TputSample> {
+    ) -> impl Iterator<Item = TputSample> + '_ {
         self.tput_parts[tpart(op.index(), dir_index(dir), usize::from(driving))].by_tech
             [tech.index()]
         .iter()
-        .map(|&i| at(&self.ds.tput, i))
+        .map(|&i| self.tput_row(i))
     }
 
     /// Throughput samples of one partition in one timezone (Fig. 5).
@@ -552,10 +555,10 @@ impl DatasetView {
         dir: Direction,
         driving: bool,
         tz: Timezone,
-    ) -> impl Iterator<Item = &TputSample> {
+    ) -> impl Iterator<Item = TputSample> + '_ {
         self.tput_parts[tpart(op.index(), dir_index(dir), usize::from(driving))].by_tz[tz_index(tz)]
             .iter()
-            .map(|&i| at(&self.ds.tput, i))
+            .map(|&i| self.tput_row(i))
     }
 
     /// Throughput samples of one partition in one speed bin on one
@@ -567,11 +570,11 @@ impl DatasetView {
         driving: bool,
         bin: SpeedBin,
         tech: Technology,
-    ) -> impl Iterator<Item = &TputSample> {
+    ) -> impl Iterator<Item = TputSample> + '_ {
         self.tput_parts[tpart(op.index(), dir_index(dir), usize::from(driving))].by_bin_tech
             [bin_index(bin)][tech.index()]
         .iter()
-        .map(|&i| at(&self.ds.tput, i))
+        .map(|&i| self.tput_row(i))
     }
 
     /// Per-test throughput sample groups matching the filter, keyed by
@@ -583,13 +586,13 @@ impl DatasetView {
         op: Option<Operator>,
         dir: Option<Direction>,
         driving: Option<bool>,
-    ) -> impl Iterator<Item = (u32, impl Iterator<Item = &TputSample>)> {
+    ) -> impl Iterator<Item = (u32, impl Iterator<Item = TputSample> + '_)> + '_ {
         self.tput_by_test.iter().filter_map(move |(&id, pos)| {
-            let first = at(&self.ds.tput, *pos.first()?);
+            let first = self.tput_row(*pos.first()?);
             let keep = op.is_none_or(|o| first.operator == o)
                 && dir.is_none_or(|d| first.direction == d)
                 && driving.is_none_or(|dr| first.driving == dr);
-            keep.then(|| (id, pos.iter().map(|&i| at(&self.ds.tput, i))))
+            keep.then(|| (id, pos.iter().map(|&i| self.tput_row(i))))
         })
     }
 
@@ -599,20 +602,22 @@ impl DatasetView {
         &self,
         op: Option<Operator>,
         driving: Option<bool>,
-    ) -> impl Iterator<Item = &RttSample> {
-        self.rtt_index(op, driving)
-            .iter()
-            .map(|&i| at(&self.ds.rtt, i))
+    ) -> impl Iterator<Item = RttSample> + '_ {
+        self.rtt_index(op, driving).iter().map(|&i| self.rtt_row(i))
     }
 
     /// Equivalent of [`Dataset::rtt_where`]: valid RTT values in dataset
-    /// order.
+    /// order, gathered from the validity and value columns.
     pub fn rtt_values(
         &self,
         op: Option<Operator>,
         driving: Option<bool>,
     ) -> impl Iterator<Item = f64> + '_ {
-        self.rtt_iter(op, driving).filter_map(|s| s.rtt_ms)
+        let r = &self.cols.rtt;
+        self.rtt_index(op, driving)
+            .iter()
+            .filter(|&&i| *at(&r.rtt_valid, i) == 1)
+            .map(|&i| *at(&r.rtt_ms, i))
     }
 
     /// Memoized Cdf of valid RTT ms over the filter.
@@ -634,10 +639,10 @@ impl DatasetView {
         op: Operator,
         driving: bool,
         tech: Technology,
-    ) -> impl Iterator<Item = &RttSample> {
+    ) -> impl Iterator<Item = RttSample> + '_ {
         self.rtt_parts[rpart(op.index(), usize::from(driving))].by_tech[tech.index()]
             .iter()
-            .map(|&i| at(&self.ds.rtt, i))
+            .map(|&i| self.rtt_row(i))
     }
 
     /// RTT samples of one partition in one speed bin on one technology
@@ -648,11 +653,11 @@ impl DatasetView {
         driving: bool,
         bin: SpeedBin,
         tech: Technology,
-    ) -> impl Iterator<Item = &RttSample> {
+    ) -> impl Iterator<Item = RttSample> + '_ {
         self.rtt_parts[rpart(op.index(), usize::from(driving))].by_bin_tech[bin_index(bin)]
             [tech.index()]
         .iter()
-        .map(|&i| at(&self.ds.rtt, i))
+        .map(|&i| self.rtt_row(i))
     }
 
     /// Per-test RTT sample groups matching the filter (Fig. 9).
@@ -660,27 +665,62 @@ impl DatasetView {
         &self,
         op: Option<Operator>,
         driving: Option<bool>,
-    ) -> impl Iterator<Item = (u32, impl Iterator<Item = &RttSample>)> {
+    ) -> impl Iterator<Item = (u32, impl Iterator<Item = RttSample> + '_)> + '_ {
         self.rtt_by_test.iter().filter_map(move |(&id, pos)| {
-            let first = at(&self.ds.rtt, *pos.first()?);
+            let first = self.rtt_row(*pos.first()?);
             let keep = op.is_none_or(|o| first.operator == o)
                 && driving.is_none_or(|dr| first.driving == dr);
-            keep.then(|| (id, pos.iter().map(|&i| at(&self.ds.rtt, i))))
+            keep.then(|| (id, pos.iter().map(|&i| self.rtt_row(i))))
         })
     }
 
-    /// Coverage samples of one operator, in dataset order (Figs. 1–2).
-    pub fn coverage_for(&self, op: Operator) -> impl Iterator<Item = &CoverageSample> {
+    /// Coverage samples of one operator, in canonical order (Figs. 1–2).
+    pub fn coverage_for(&self, op: Operator) -> impl Iterator<Item = CoverageSample> + '_ {
         self.cov_idx[op.index()]
             .iter()
-            .map(|&i| at(&self.ds.coverage, i))
+            .map(|&i| self.cols.coverage.row(i).expect(VALID))
+    }
+
+    /// Per-test aggregates, in canonical order (Figs. 9–11).
+    pub fn runs(&self) -> impl Iterator<Item = TestRun> + '_ {
+        all_rows(self.cols.runs.len(), |i| self.cols.runs.row(i))
+    }
+
+    /// Application runs, in canonical order (§7 figures).
+    pub fn apps(&self) -> impl Iterator<Item = AppRun> + '_ {
+        self.cols.apps.rows().map(|a| a.expect(VALID))
+    }
+
+    /// The disruption ledger, in canonical order (the quality report).
+    pub fn audits(&self) -> impl Iterator<Item = TestAudit> + '_ {
+        all_rows(self.cols.audits.len(), |i| self.cols.audits.row(i))
+    }
+
+    /// Table 1's per-operator unique-cell counts, in operator order.
+    pub fn unique_cells(&self) -> impl Iterator<Item = (Operator, u64)> + '_ {
+        let c = &self.cols;
+        c.cells_operator
+            .iter()
+            .zip(&c.cells_count)
+            .map(|(&op, &n)| (column::op_from(op).expect(VALID), n))
+    }
+
+    /// Table 1's per-operator cumulative runtimes (minutes), in operator
+    /// order.
+    pub fn runtime_min(&self) -> impl Iterator<Item = (Operator, f64)> + '_ {
+        let c = &self.cols;
+        c.runtime_operator
+            .iter()
+            .zip(&c.runtime_min)
+            .map(|(&op, &m)| (column::op_from(op).expect(VALID), m))
     }
 
     /// Memoized handover throughput impacts (Fig. 12, findings), computed
     /// once over the shared by-test index.
     pub fn impacts(&self) -> &[HoImpact] {
-        self.impacts
-            .get_or_init(|| handover::impacts_indexed(&self.ds, &self.tput_by_test))
+        self.impacts.get_or_init(|| {
+            handover::impacts_indexed(&self.cols.tput, &self.cols.handovers, &self.tput_by_test)
+        })
     }
 
     /// One Table-2 row via the batched columnar kernel: the partition's
@@ -713,14 +753,15 @@ impl DatasetView {
 
     /// Fold one completed campaign shard into the view incrementally —
     /// µs per shard instead of the full rebuild `DatasetView::new`
-    /// pays. The sample tables are appended in arrival order and every
-    /// affected permutation index is extended by a binary-splice run
-    /// merge, so all indexed accessors keep yielding exactly what a
-    /// rebuild over the union would yield; memoized sorted runs, merged
-    /// combos and Cdfs are re-armed only where the shard actually
-    /// landed. The small tables stay physically canonical (the raw-scan
-    /// consumers need them so), and Table 1 accounting is recomputed
-    /// with the same f64 accumulation order as the campaign merger.
+    /// pays. The sample tables are appended to the columns in arrival
+    /// order and every affected permutation index is extended by a
+    /// binary-splice run merge, so all indexed accessors keep yielding
+    /// exactly what a rebuild over the union would yield; memoized
+    /// sorted runs, merged combos and Cdfs are re-armed only where the
+    /// shard actually landed. The small tables stay physically canonical
+    /// (the raw-scan consumers need them so), and Table 1 accounting is
+    /// recomputed from the run columns with the same f64 accumulation
+    /// order as the campaign merger.
     ///
     /// Preconditions (both guaranteed by the simulator): each shard is
     /// ingested at most once, and shard canonical keys (test ids,
@@ -736,14 +777,20 @@ impl DatasetView {
             cells,
         } = rec;
         if !sd.is_normalized() {
-            // Shards normalize before handing off, but a journal
-            // written by an older build may carry unsorted tables.
+            // Shards normalize before handing off, and a replayed frame
+            // is only checksummed, so restore canonical order
+            // defensively, as the campaign merger does.
             sd.normalize();
         }
 
-        let tput_touched = self.ingest_tput(std::mem::take(&mut sd.tput));
-        let rtt_touched = self.ingest_rtt(std::mem::take(&mut sd.rtt));
-        self.ingest_coverage(std::mem::take(&mut sd.coverage));
+        let c = &mut self.cols;
+        let bases = (c.tput.len(), c.rtt.len(), c.coverage.len());
+        sd.tput.iter().for_each(|s| c.tput.push(s));
+        sd.rtt.iter().for_each(|s| c.rtt.push(s));
+        sd.coverage.iter().for_each(|s| c.coverage.push(s));
+        let tput_touched = self.index_tput(bases.0);
+        let rtt_touched = self.index_rtt(bases.1);
+        self.index_coverage(bases.2);
         self.ingest_small_tables(&mut sd);
 
         // Re-arm every memo whose partition set intersects the shard:
@@ -774,62 +821,53 @@ impl DatasetView {
         }
         self.impacts = OnceLock::new();
 
-        // Table 1 accounting, identical accumulation order to the
-        // campaign merger's finish pass.
+        // Table 1 accounting through the campaign merger's own pass.
         self.cell_sets[operator.index()].extend(cells.iter().copied());
         self.log_base += sd.log_bytes;
-        self.ds.rx_bytes += sd.rx_bytes;
-        self.ds.tx_bytes += sd.tx_bytes;
-        apply_table1_accounting(&mut self.ds, &Operator::ALL, &self.cell_sets, self.log_base);
-        self.cols.rx_bytes = self.ds.rx_bytes;
-        self.cols.tx_bytes = self.ds.tx_bytes;
-        self.cols.log_bytes = self.ds.log_bytes;
-        self.cols.cells_operator.clear();
-        self.cols.cells_count.clear();
-        for &(op, n) in &self.ds.unique_cells {
-            self.cols.cells_operator.push(op_code(op));
-            self.cols
-                .cells_count
-                .push(u64::try_from(n).expect("usize fits u64 on every supported target"));
-        }
-        self.cols.runtime_operator.clear();
-        self.cols.runtime_min.clear();
-        for &(op, min) in &self.ds.runtime_min {
-            self.cols.runtime_operator.push(op_code(op));
-            self.cols.runtime_min.push(min);
-        }
+        self.cols.rx_bytes += sd.rx_bytes;
+        self.cols.tx_bytes += sd.tx_bytes;
+        let r = &self.cols.runs;
+        let runs = r
+            .operator
+            .iter()
+            .zip(&r.start_ms)
+            .zip(&r.end_ms)
+            .map(|((&op, &s), &e)| {
+                (
+                    column::op_from(op).expect(VALID),
+                    SimTime(e).since(SimTime(s)).as_millis(),
+                )
+            });
+        let (unique_cells, runtime_min, log_bytes) =
+            table1_accounting(&Operator::ALL, &self.cell_sets, self.log_base, runs);
+        self.cols.log_bytes = log_bytes;
+        self.cols.set_aggregates(&unique_cells, &runtime_min);
     }
 
-    /// Append the shard's throughput run and splice-merge each touched
-    /// partition index; returns the touched-partition mask.
-    fn ingest_tput(&mut self, rows: Vec<TputSample>) -> [bool; TPUT_PARTS] {
-        let mut touched = [false; TPUT_PARTS];
-        if rows.is_empty() {
-            return touched;
-        }
-        let base = self.ds.tput.len();
+    /// Index the tput rows from position `base` on — every row at build
+    /// time, a shard's appended run at ingest: bucket them per partition
+    /// off the code columns, then splice-merge each touched partition
+    /// index; returns the touched-partition mask.
+    fn index_tput(&mut self, base: usize) -> [bool; TPUT_PARTS] {
+        let t = &self.cols.tput;
         let mut add: Vec<TputPart> = (0..TPUT_PARTS).map(|_| TputPart::default()).collect();
-        for (j, s) in rows.iter().enumerate() {
-            let i = base + j;
-            self.cols.tput.push(s);
-            let tech = s.tech.index();
+        for i in base..t.len() {
+            let tech = usize::from(t.tech[i]);
             let p = &mut add[tpart(
-                s.operator.index(),
-                dir_index(s.direction),
-                usize::from(s.driving),
+                usize::from(t.operator[i]),
+                usize::from(t.direction[i]),
+                usize::from(t.driving[i]),
             )];
             push_pos(&mut p.idx, i);
             push_pos(&mut p.by_tech[tech], i);
-            push_pos(&mut p.by_tz[tz_index(s.tz)], i);
-            let b = bin_index(SpeedBin::of(Speed::from_mph(s.speed_mph)));
+            push_pos(&mut p.by_tz[usize::from(t.tz[i])], i);
+            let b = bin_index(SpeedBin::of(Speed::from_mph(t.speed_mph[i])));
             push_pos(&mut p.by_bin_tech[b][tech], i);
-            push_pos(self.tput_by_test.entry(s.test_id).or_default(), i);
+            push_pos(self.tput_by_test.entry(t.test_id[i]).or_default(), i);
         }
-        self.ds.tput.extend(rows);
 
-        let t_ms = &self.cols.tput.t_ms;
-        let test_id = &self.cols.tput.test_id;
-        let key = |i: u32| (*at(t_ms, i), *at(test_id, i));
+        let key = |i: u32| (*at(&t.t_ms, i), *at(&t.test_id, i));
+        let mut touched = [false; TPUT_PARTS];
         for (p, new) in add.iter().enumerate() {
             if new.idx.is_empty() {
                 continue;
@@ -853,30 +891,22 @@ impl DatasetView {
         touched
     }
 
-    /// RTT twin of [`DatasetView::ingest_tput`].
-    fn ingest_rtt(&mut self, rows: Vec<RttSample>) -> [bool; RTT_PARTS] {
-        let mut touched = [false; RTT_PARTS];
-        if rows.is_empty() {
-            return touched;
-        }
-        let base = self.ds.rtt.len();
+    /// RTT twin of [`DatasetView::index_tput`].
+    fn index_rtt(&mut self, base: usize) -> [bool; RTT_PARTS] {
+        let r = &self.cols.rtt;
         let mut add: Vec<RttPart> = (0..RTT_PARTS).map(|_| RttPart::default()).collect();
-        for (j, s) in rows.iter().enumerate() {
-            let i = base + j;
-            self.cols.rtt.push(s);
-            let tech = s.tech.index();
-            let p = &mut add[rpart(s.operator.index(), usize::from(s.driving))];
+        for i in base..r.len() {
+            let tech = usize::from(r.tech[i]);
+            let p = &mut add[rpart(usize::from(r.operator[i]), usize::from(r.driving[i]))];
             push_pos(&mut p.idx, i);
             push_pos(&mut p.by_tech[tech], i);
-            let b = bin_index(SpeedBin::of(Speed::from_mph(s.speed_mph)));
+            let b = bin_index(SpeedBin::of(Speed::from_mph(r.speed_mph[i])));
             push_pos(&mut p.by_bin_tech[b][tech], i);
-            push_pos(self.rtt_by_test.entry(s.test_id).or_default(), i);
+            push_pos(self.rtt_by_test.entry(r.test_id[i]).or_default(), i);
         }
-        self.ds.rtt.extend(rows);
 
-        let t_ms = &self.cols.rtt.t_ms;
-        let test_id = &self.cols.rtt.test_id;
-        let key = |i: u32| (*at(t_ms, i), *at(test_id, i));
+        let key = |i: u32| (*at(&r.t_ms, i), *at(&r.test_id, i));
+        let mut touched = [false; RTT_PARTS];
         for (p, new) in add.iter().enumerate() {
             if new.idx.is_empty() {
                 continue;
@@ -899,65 +929,63 @@ impl DatasetView {
 
     /// Coverage twin: per-operator index splice (coverage has no lazy
     /// memos — the share kernels scan the index on every call).
-    fn ingest_coverage(&mut self, rows: Vec<CoverageSample>) {
-        if rows.is_empty() {
-            return;
-        }
-        let base = self.ds.coverage.len();
+    fn index_coverage(&mut self, base: usize) {
+        let c = &self.cols.coverage;
         let mut add: [Vec<u32>; OPS] = Default::default();
-        for (j, s) in rows.iter().enumerate() {
-            self.cols.coverage.push(s);
-            push_pos(&mut add[s.operator.index()], base + j);
+        for i in base..c.len() {
+            push_pos(&mut add[usize::from(c.operator[i])], i);
         }
-        self.ds.coverage.extend(rows);
-
-        let t_ms = &self.cols.coverage.t_ms;
-        let op = &self.cols.coverage.operator;
-        let key = |i: u32| (*at(t_ms, i), *at(op, i));
+        let key = |i: u32| (*at(&c.t_ms, i), *at(&c.operator, i));
         for (list, run) in self.cov_idx.iter_mut().zip(&add) {
             merge_positions(list, run, key);
         }
     }
 
-    /// Physically merge the shard's small tables into canonical order
-    /// (raw-order consumers: the handover kernels and the figure code)
-    /// and rebuild their column bundles — thousands of times smaller
-    /// than the sample tables, so the rebuild is noise.
+    /// Merge the shard's small tables (runs, handovers, apps, audits)
+    /// into canonical physical order for the raw-order consumers (the
+    /// handover kernels and the figure code): the current tables go to
+    /// transient rows, take [`Dataset::merge_normalized`]'s run merge
+    /// and come back as columns — thousands of times smaller than the
+    /// sample tables, so the round trip is noise. App runs are the
+    /// exception: their per-frame series make a per-shard round trip
+    /// cost O(all apps), but test ids rise in plan order, so a
+    /// plan-order shard's runs sort after every stored one and append
+    /// in place; only an out-of-order shard merges them through rows.
     fn ingest_small_tables(&mut self, sd: &mut Dataset) {
-        merge_sorted_by_key(&mut self.ds.runs, std::mem::take(&mut sd.runs), |r| {
-            (r.start.as_millis(), r.id)
-        });
-        merge_sorted_by_key(
-            &mut self.ds.handovers,
-            std::mem::take(&mut sd.handovers),
-            |h| {
-                (
-                    h.event.start.as_millis(),
-                    h.operator.index(),
-                    h.event.to_cell,
-                )
+        let c = &mut self.cols;
+        let append_apps = match (c.apps.id.last(), sd.apps.first()) {
+            (Some(&last), Some(first)) => last <= first.id,
+            _ => true,
+        };
+        if append_apps {
+            std::mem::take(&mut sd.apps)
+                .iter()
+                .for_each(|a| c.apps.push(a));
+        }
+        let mut small = ColumnarDataset {
+            runs: std::mem::take(&mut c.runs),
+            handovers: std::mem::take(&mut c.handovers),
+            apps: if append_apps {
+                AppColumns::default()
+            } else {
+                std::mem::take(&mut c.apps)
             },
-        );
-        merge_sorted_by_key(&mut self.ds.apps, std::mem::take(&mut sd.apps), |a| a.id);
-        merge_sorted_by_key(&mut self.ds.audits, std::mem::take(&mut sd.audits), |a| {
-            (a.scheduled.as_millis(), a.test_id)
+            audits: std::mem::take(&mut c.audits),
+            ..ColumnarDataset::default()
+        }
+        .to_rows()
+        .expect(VALID);
+        small.merge_normalized(Dataset {
+            runs: std::mem::take(&mut sd.runs),
+            handovers: std::mem::take(&mut sd.handovers),
+            apps: std::mem::take(&mut sd.apps),
+            audits: std::mem::take(&mut sd.audits),
+            ..Dataset::default()
         });
-
-        self.cols.runs = RunColumns::default();
-        for r in &self.ds.runs {
-            self.cols.runs.push(r);
-        }
-        self.cols.handovers = HandoverColumns::default();
-        for h in &self.ds.handovers {
-            self.cols.handovers.push(h);
-        }
-        self.cols.apps = AppColumns::default();
-        for a in &self.ds.apps {
-            self.cols.apps.push(a);
-        }
-        self.cols.audits = AuditColumns::default();
-        for a in &self.ds.audits {
-            self.cols.audits.push(a);
+        let merged = ColumnarDataset::from_rows(&small);
+        (c.runs, c.handovers, c.audits) = (merged.runs, merged.handovers, merged.audits);
+        if !append_apps {
+            c.apps = merged.apps;
         }
     }
 
@@ -980,14 +1008,18 @@ impl DatasetView {
         })?;
         Ok((view, state))
     }
+}
 
-    /// Surrender the dataset, restoring physical canonical order first
-    /// (ingest leaves the sample tables arrival-ordered). The stable
-    /// re-sort makes the export byte-identical to a plan-order campaign
-    /// merge whenever canonical keys are shard-unique — which the
-    /// simulator guarantees.
-    pub fn into_dataset(mut self) -> Dataset {
-        self.ds.normalize();
-        self.ds
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn load_detects_json() {
+        let json = serde_json::to_string(&Dataset::default()).expect("serializes");
+        let (view, fmt) = DatasetView::load(json.as_bytes()).expect("loads");
+        assert_eq!(fmt, "json");
+        assert_eq!(view.to_dataset(), Dataset::default());
+        assert!(DatasetView::load(b"garbage \xff\xfe").is_err());
     }
 }

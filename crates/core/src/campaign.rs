@@ -29,7 +29,7 @@
 //! shard buffering, and the result is bit-identical at any thread count
 //! and any window size.
 //!
-//! Each drive shard cold-starts its [`RanSession`] a [`WARMUP`] window
+//! Each drive shard cold-starts its [`RanSession`] a `WARMUP` window
 //! before its first cycle so the serving state (grant, A3 filter state) at
 //! the segment boundary matches a session that had been driving all along;
 //! warm-up KPIs and handovers are discarded.
@@ -320,8 +320,16 @@ impl<'o> Merger<'o> {
     /// permutation, and the shared accounting pass reproduces its exact
     /// f64 accumulation order.
     fn finish(mut self) -> Dataset {
-        let log_base = self.out.log_bytes;
-        apply_table1_accounting(&mut self.out, self.ops, &self.cells, log_base);
+        let runs = self
+            .out
+            .runs
+            .iter()
+            .map(|r| (r.operator, r.end.since(r.start).as_millis()));
+        (
+            self.out.unique_cells,
+            self.out.runtime_min,
+            self.out.log_bytes,
+        ) = table1_accounting(self.ops, &self.cells, self.out.log_bytes, runs);
         debug_assert!(
             self.out.is_normalized(),
             "streaming merge left a table out of canonical order"
@@ -330,33 +338,37 @@ impl<'o> Merger<'o> {
     }
 }
 
-/// Table 1 accounting over an assembled dataset: per-operator
-/// unique-cell counts, runtimes, and the runtime-derived XCAL log
+/// Table 1's per-operator aggregates: unique-cell counts and runtimes
+/// (minutes) in `ops` order, and the XCAL log volume (bytes).
+pub(crate) type Table1 = (Vec<(Operator, usize)>, Vec<(Operator, f64)>, f64);
+
+/// Table 1 accounting over an assembled dataset's runs, given as
+/// `(operator, runtime ms)` pairs, with the runtime-derived XCAL log
 /// volume accumulated in `ops` order on top of `log_base` (the summed
 /// per-shard log bytes, zero in practice). Shared by [`Merger::finish`]
-/// and the incremental `DatasetView::ingest_shard` path so both
-/// reproduce the exact f64 accumulation order of the pre-streaming
-/// terminal merge. Replaces any aggregates already present.
-pub(crate) fn apply_table1_accounting(
-    ds: &mut Dataset,
+/// (row runs) and the incremental `DatasetView::ingest_shard` path (run
+/// columns) so both reproduce the exact f64 accumulation order of the
+/// pre-streaming terminal merge; the per-operator runtime sums are
+/// integers, so the run order does not matter.
+pub(crate) fn table1_accounting(
     ops: &[Operator],
     cells: &[BTreeSet<CellId>],
     log_base: f64,
-) {
-    ds.unique_cells.clear();
-    ds.runtime_min.clear();
-    ds.log_bytes = log_base;
-    for (i, op) in ops.iter().enumerate() {
-        let runtime_ms: u64 = ds
-            .runs
-            .iter()
-            .filter(|r| r.operator == *op)
-            .map(|r| r.end.since(r.start).as_millis())
-            .sum();
-        ds.unique_cells.push((*op, cells[i].len()));
-        ds.runtime_min.push((*op, runtime_ms as f64 / 60_000.0));
-        ds.log_bytes += (runtime_ms as f64 / measure::SAMPLE_MS as f64) * LOG_BYTES_PER_SAMPLE;
+    runs: impl IntoIterator<Item = (Operator, u64)>,
+) -> Table1 {
+    let mut runtime_ms = vec![0u64; ops.len()];
+    for (op, ms) in runs {
+        if let Some(i) = ops.iter().position(|o| *o == op) {
+            runtime_ms[i] += ms;
+        }
     }
+    let (mut unique_cells, mut runtime_min, mut log_bytes) = (Vec::new(), Vec::new(), log_base);
+    for (i, op) in ops.iter().enumerate() {
+        unique_cells.push((*op, cells[i].len()));
+        runtime_min.push((*op, runtime_ms[i] as f64 / 60_000.0));
+        log_bytes += (runtime_ms[i] as f64 / measure::SAMPLE_MS as f64) * LOG_BYTES_PER_SAMPLE;
+    }
+    (unique_cells, runtime_min, log_bytes)
 }
 
 /// The campaign: route, trace, per-operator deployments, servers.

@@ -1,5 +1,6 @@
-//! Columnar (struct-of-arrays) twin of the consolidated [`Dataset`] —
-//! ROADMAP item 3's data layer.
+//! Columnar (struct-of-arrays) layout of the consolidated [`Dataset`] —
+//! the one in-memory layout the analysis view keeps; row tables are
+//! built from it only at the JSON export boundary.
 //!
 //! Every row table in [`Dataset`] fights the analysis access pattern:
 //! the figure kernels consume *columns* (all `mbps`, all `rtt_ms`, all
@@ -17,8 +18,12 @@
 //!   table order and `to_rows` re-emits them in the same order, so a
 //!   normalized dataset stays normalized across the conversion (the
 //!   figure multisets and their order are provably unchanged —
-//!   [`ColumnarDataset::is_normalized`] is the debug assertion the view
-//!   builder uses).
+//!   [`ColumnarDataset::is_normalized`] is how the view's loader tells a
+//!   canonical file it can index directly from one it must re-sort).
+//! - **Codes are validated up front.** [`ColumnarDataset::check`] (run
+//!   by `wcd::decode` and `DatasetView::from_columns`) refuses any code
+//!   outside the catalogue, so columns that passed it convert to rows
+//!   and index the view's partition arrays without error.
 //! - **Round-trips are lossless.** `f64` fields travel as raw bits,
 //!   `Option` fields as a validity column or a sentinel code
 //!   ([`NONE_CODE`]), enums as the stable codes below. Property tests in
@@ -245,7 +250,43 @@ fn to_usize(n: u64, what: &str) -> Result<usize, ColumnError> {
     usize::try_from(n).map_err(|_| ColumnError(format!("{what} count {n} exceeds usize")))
 }
 
-/// Columnar twin of `Dataset::tput`: one contiguous vector per
+/// Every column length in `lens` equals the table's row count `n`.
+fn rows_agree(n: usize, lens: &[usize], table: &str) -> Result<(), ColumnError> {
+    if lens.iter().any(|&l| l != n) {
+        return Err(ColumnError(format!(
+            "{table} columns disagree on row count"
+        )));
+    }
+    Ok(())
+}
+
+/// The code column `col` holds `n` rows and every byte decodes through
+/// `dec`; errors name the column.
+fn codes<T>(
+    col: &[u8],
+    n: usize,
+    what: &str,
+    dec: impl Fn(u8) -> Result<T, ColumnError>,
+) -> Result<(), ColumnError> {
+    rows_agree(n, &[col.len()], what)?;
+    col.iter().try_for_each(|&c| {
+        dec(c)
+            .map(drop)
+            .map_err(|e| ColumnError(format!("{what}: {}", e.0)))
+    })
+}
+
+/// Decode an optional direction byte.
+fn dir_opt_from(code: u8) -> Result<Option<Direction>, ColumnError> {
+    opt_from(code, dir_from)
+}
+
+/// Decode an optional fault-kind byte.
+fn fault_opt_from(code: u8) -> Result<Option<FaultKind>, ColumnError> {
+    opt_from(code, fault_from)
+}
+
+/// Columnar form of `Dataset::tput`: one contiguous vector per
 /// [`TputSample`] field, all sharing the row count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TputColumns {
@@ -343,34 +384,32 @@ impl TputColumns {
 
     fn check(&self) -> Result<(), ColumnError> {
         let n = self.len();
-        let lens = [
-            self.test_id.len(),
-            self.operator.len(),
-            self.direction.len(),
-            self.mbps.len(),
-            self.tech.len(),
-            self.cell.len(),
-            self.speed_mph.len(),
-            self.zone.len(),
-            self.tz.len(),
-            self.server.len(),
-            self.rsrp_dbm.len(),
-            self.mcs.len(),
-            self.bler.len(),
-            self.carriers.len(),
-            self.handovers_in_bin.len(),
-            self.driving.len(),
-        ];
-        if lens.iter().any(|&l| l != n) {
-            return Err(ColumnError(
-                "tput columns disagree on row count".to_string(),
-            ));
-        }
-        Ok(())
+        rows_agree(
+            n,
+            &[
+                self.test_id.len(),
+                self.mbps.len(),
+                self.cell.len(),
+                self.speed_mph.len(),
+                self.rsrp_dbm.len(),
+                self.mcs.len(),
+                self.bler.len(),
+                self.carriers.len(),
+                self.handovers_in_bin.len(),
+            ],
+            "tput",
+        )?;
+        codes(&self.operator, n, "tput operator", op_from)?;
+        codes(&self.direction, n, "tput direction", dir_from)?;
+        codes(&self.tech, n, "tput tech", tech_from)?;
+        codes(&self.zone, n, "tput zone", zone_from)?;
+        codes(&self.tz, n, "tput tz", tz_from)?;
+        codes(&self.server, n, "tput server", server_from)?;
+        codes(&self.driving, n, "tput driving", bool_from)
     }
 }
 
-/// Columnar twin of `Dataset::rtt`. Lost pings keep a `0` in
+/// Columnar form of `Dataset::rtt`. Lost pings keep a `0` in
 /// `rtt_valid` and a placeholder `0.0` in `rtt_ms`; valid values travel
 /// as raw `f64` bits, so the `Option<f64>` round-trips losslessly.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -440,25 +479,21 @@ impl RttColumns {
 
     fn check(&self) -> Result<(), ColumnError> {
         let n = self.len();
-        let lens = [
-            self.test_id.len(),
-            self.operator.len(),
-            self.rtt_valid.len(),
-            self.rtt_ms.len(),
-            self.tech.len(),
-            self.speed_mph.len(),
-            self.tz.len(),
-            self.server.len(),
-            self.driving.len(),
-        ];
-        if lens.iter().any(|&l| l != n) {
-            return Err(ColumnError("rtt columns disagree on row count".to_string()));
-        }
-        Ok(())
+        rows_agree(
+            n,
+            &[self.test_id.len(), self.rtt_ms.len(), self.speed_mph.len()],
+            "rtt",
+        )?;
+        codes(&self.operator, n, "rtt operator", op_from)?;
+        codes(&self.rtt_valid, n, "rtt validity", bool_from)?;
+        codes(&self.tech, n, "rtt tech", tech_from)?;
+        codes(&self.tz, n, "rtt tz", tz_from)?;
+        codes(&self.server, n, "rtt server", server_from)?;
+        codes(&self.driving, n, "rtt driving", bool_from)
     }
 }
 
-/// Columnar twin of `Dataset::coverage`. `tech` and `direction` use
+/// Columnar form of `Dataset::coverage`. `tech` and `direction` use
 /// [`NONE_CODE`] sentinels for out-of-service / ICMP-only samples.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoverageColumns {
@@ -520,25 +555,16 @@ impl CoverageColumns {
 
     fn check(&self) -> Result<(), ColumnError> {
         let n = self.len();
-        let lens = [
-            self.operator.len(),
-            self.tech.len(),
-            self.direction.len(),
-            self.miles.len(),
-            self.speed_mph.len(),
-            self.tz.len(),
-            self.zone.len(),
-        ];
-        if lens.iter().any(|&l| l != n) {
-            return Err(ColumnError(
-                "coverage columns disagree on row count".to_string(),
-            ));
-        }
-        Ok(())
+        rows_agree(n, &[self.miles.len(), self.speed_mph.len()], "coverage")?;
+        codes(&self.operator, n, "coverage operator", op_from)?;
+        codes(&self.tech, n, "coverage tech", tech_opt_from)?;
+        codes(&self.direction, n, "coverage direction", dir_opt_from)?;
+        codes(&self.tz, n, "coverage tz", tz_from)?;
+        codes(&self.zone, n, "coverage zone", zone_from)
     }
 }
 
-/// Columnar twin of `Dataset::runs`.
+/// Columnar form of `Dataset::runs`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunColumns {
     /// Test ids.
@@ -615,29 +641,27 @@ impl RunColumns {
 
     fn check(&self) -> Result<(), ColumnError> {
         let n = self.len();
-        let lens = [
-            self.kind.len(),
-            self.operator.len(),
-            self.start_ms.len(),
-            self.end_ms.len(),
-            self.miles.len(),
-            self.tz.len(),
-            self.server.len(),
-            self.hs5g_fraction.len(),
-            self.handovers.len(),
-            self.driving.len(),
-            self.partial.len(),
-        ];
-        if lens.iter().any(|&l| l != n) {
-            return Err(ColumnError(
-                "runs columns disagree on row count".to_string(),
-            ));
-        }
-        Ok(())
+        rows_agree(
+            n,
+            &[
+                self.start_ms.len(),
+                self.end_ms.len(),
+                self.miles.len(),
+                self.hs5g_fraction.len(),
+                self.handovers.len(),
+            ],
+            "runs",
+        )?;
+        codes(&self.kind, n, "runs kind", kind_from)?;
+        codes(&self.operator, n, "runs operator", op_from)?;
+        codes(&self.tz, n, "runs tz", tz_from)?;
+        codes(&self.server, n, "runs server", server_from)?;
+        codes(&self.driving, n, "runs driving", bool_from)?;
+        codes(&self.partial, n, "runs partial", bool_from)
     }
 }
 
-/// Columnar twin of `Dataset::handovers` (the [`TaggedHandover`] table,
+/// Columnar form of `Dataset::handovers` (the [`TaggedHandover`] table,
 /// event fields flattened).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HandoverColumns {
@@ -712,28 +736,26 @@ impl HandoverColumns {
 
     fn check(&self) -> Result<(), ColumnError> {
         let n = self.len();
-        let lens = [
-            self.duration_ms.len(),
-            self.from_cell.len(),
-            self.to_cell.len(),
-            self.from_tech.len(),
-            self.to_tech.len(),
-            self.kind.len(),
-            self.operator.len(),
-            self.test_valid.len(),
-            self.test_id.len(),
-            self.direction.len(),
-        ];
-        if lens.iter().any(|&l| l != n) {
-            return Err(ColumnError(
-                "handover columns disagree on row count".to_string(),
-            ));
-        }
-        Ok(())
+        rows_agree(
+            n,
+            &[
+                self.duration_ms.len(),
+                self.from_cell.len(),
+                self.to_cell.len(),
+                self.test_id.len(),
+            ],
+            "handover",
+        )?;
+        codes(&self.from_tech, n, "handover from_tech", tech_from)?;
+        codes(&self.to_tech, n, "handover to_tech", tech_from)?;
+        codes(&self.kind, n, "handover kind", ho_from)?;
+        codes(&self.operator, n, "handover operator", op_from)?;
+        codes(&self.test_valid, n, "handover test validity", bool_from)?;
+        codes(&self.direction, n, "handover direction", dir_opt_from)
     }
 }
 
-/// Columnar twin of `Dataset::apps`. The nested per-run vectors
+/// Columnar form of `Dataset::apps`. The nested per-run vectors
 /// (`e2e_ms`, video chunks, gaming bitrate/latency series) are stored
 /// Arrow-list style: a per-row length column plus one flat value vector
 /// per field, concatenated in row order.
@@ -890,12 +912,12 @@ impl AppColumns {
         }
     }
 
-    /// Reconstruct the whole table (cursor-based because of the flat
-    /// variable-length sections).
-    fn to_rows(&self) -> Result<Vec<AppRun>, ColumnError> {
-        let mut out = Vec::with_capacity(self.len());
+    /// The table's rows in stored order (a cursor walk, because of the
+    /// flat variable-length sections). Yields `Err` on data that
+    /// [`ColumnarDataset::check`] would refuse.
+    pub fn rows(&self) -> impl Iterator<Item = Result<AppRun, ColumnError>> + '_ {
         let (mut e2e_at, mut chunk_at, mut br_at, mut lat_at) = (0usize, 0usize, 0usize, 0usize);
-        for i in 0..self.len() {
+        (0..self.len()).map(move |i| {
             let offload = if bool_from(self.off_valid[i])? {
                 let n = idx(self.off_e2e_len[i]);
                 let e2e = self
@@ -965,7 +987,7 @@ impl AppColumns {
             } else {
                 None
             };
-            out.push(AppRun {
+            Ok(AppRun {
                 id: self.id[i],
                 operator: op_from(self.operator[i])?,
                 kind: kind_from(self.kind[i])?,
@@ -974,61 +996,67 @@ impl AppColumns {
                 offload,
                 video,
                 gaming,
-            });
-        }
-        if e2e_at != self.off_e2e_ms.len()
-            || chunk_at != self.vid_bitrate_mbps.len()
-            || br_at != self.gam_bitrate_mbps.len()
-            || lat_at != self.gam_latency_ms.len()
-        {
-            return Err(ColumnError(
-                "flat app sections longer than their length columns account for".to_string(),
-            ));
-        }
-        Ok(out)
+            })
+        })
     }
 
     fn check(&self) -> Result<(), ColumnError> {
         let n = self.len();
-        let lens = [
-            self.operator.len(),
-            self.kind.len(),
-            self.server.len(),
-            self.driving.len(),
-            self.off_valid.len(),
-            self.off_e2e_len.len(),
-            self.off_frames_offloaded.len(),
-            self.off_frames_total.len(),
-            self.off_compressed.len(),
-            self.off_hs5g.len(),
-            self.off_handovers.len(),
-            self.vid_valid.len(),
-            self.vid_chunks_len.len(),
-            self.vid_hs5g.len(),
-            self.vid_handovers.len(),
-            self.gam_valid.len(),
-            self.gam_bitrate_len.len(),
-            self.gam_latency_len.len(),
-            self.gam_frames_dropped.len(),
-            self.gam_frames_sent.len(),
-            self.gam_hs5g.len(),
-            self.gam_handovers.len(),
-        ];
-        if lens.iter().any(|&l| l != n) {
-            return Err(ColumnError("app columns disagree on row count".to_string()));
-        }
-        if self.vid_rebuffer_s.len() != self.vid_bitrate_mbps.len()
-            || self.vid_qoe.len() != self.vid_bitrate_mbps.len()
+        rows_agree(
+            n,
+            &[
+                self.off_e2e_len.len(),
+                self.off_frames_offloaded.len(),
+                self.off_frames_total.len(),
+                self.off_hs5g.len(),
+                self.off_handovers.len(),
+                self.vid_chunks_len.len(),
+                self.vid_hs5g.len(),
+                self.vid_handovers.len(),
+                self.gam_bitrate_len.len(),
+                self.gam_latency_len.len(),
+                self.gam_frames_dropped.len(),
+                self.gam_frames_sent.len(),
+                self.gam_hs5g.len(),
+                self.gam_handovers.len(),
+            ],
+            "app",
+        )?;
+        codes(&self.operator, n, "app operator", op_from)?;
+        codes(&self.kind, n, "app kind", kind_from)?;
+        codes(&self.server, n, "app server", server_from)?;
+        codes(&self.driving, n, "app driving", bool_from)?;
+        codes(&self.off_valid, n, "offload validity", bool_from)?;
+        codes(&self.off_compressed, n, "offload compression", bool_from)?;
+        codes(&self.vid_valid, n, "video validity", bool_from)?;
+        codes(&self.gam_valid, n, "gaming validity", bool_from)?;
+        // The flat sections hold exactly what the valid rows' length
+        // columns list, so the `rows` cursor walk never overruns.
+        let listed = |valid: &[u8], lens: &[u32]| -> u64 {
+            valid
+                .iter()
+                .zip(lens)
+                .filter(|(v, _)| **v == 1)
+                .map(|(_, &n)| u64::from(n))
+                .sum()
+        };
+        let chunks = self.vid_bitrate_mbps.len();
+        if listed(&self.off_valid, &self.off_e2e_len) != to_u64(self.off_e2e_ms.len())
+            || listed(&self.vid_valid, &self.vid_chunks_len) != to_u64(chunks)
+            || self.vid_rebuffer_s.len() != chunks
+            || self.vid_qoe.len() != chunks
+            || listed(&self.gam_valid, &self.gam_bitrate_len) != to_u64(self.gam_bitrate_mbps.len())
+            || listed(&self.gam_valid, &self.gam_latency_len) != to_u64(self.gam_latency_ms.len())
         {
             return Err(ColumnError(
-                "video chunk sections disagree on element count".to_string(),
+                "flat app sections disagree with their length columns".to_string(),
             ));
         }
         Ok(())
     }
 }
 
-/// Columnar twin of `Dataset::audits`.
+/// Columnar form of `Dataset::audits`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AuditColumns {
     /// Test ids.
@@ -1101,24 +1129,22 @@ impl AuditColumns {
 
     fn check(&self) -> Result<(), ColumnError> {
         let n = self.len();
-        let lens = [
-            self.operator.len(),
-            self.kind.len(),
-            self.day.len(),
-            self.scheduled_ms.len(),
-            self.status.len(),
-            self.attempts.len(),
-            self.fault.len(),
-            self.planned_samples.len(),
-            self.recorded_samples.len(),
-            self.lost_samples.len(),
-        ];
-        if lens.iter().any(|&l| l != n) {
-            return Err(ColumnError(
-                "audit columns disagree on row count".to_string(),
-            ));
-        }
-        Ok(())
+        rows_agree(
+            n,
+            &[
+                self.day.len(),
+                self.scheduled_ms.len(),
+                self.attempts.len(),
+                self.planned_samples.len(),
+                self.recorded_samples.len(),
+                self.lost_samples.len(),
+            ],
+            "audit",
+        )?;
+        codes(&self.operator, n, "audit operator", op_from)?;
+        codes(&self.kind, n, "audit kind", kind_from)?;
+        codes(&self.status, n, "audit status", status_from)?;
+        codes(&self.fault, n, "audit fault", fault_opt_from)
     }
 }
 
@@ -1190,14 +1216,7 @@ impl ColumnarDataset {
         for a in &ds.audits {
             out.audits.push(a);
         }
-        for &(op, n) in &ds.unique_cells {
-            out.cells_operator.push(op_code(op));
-            out.cells_count.push(to_u64(n));
-        }
-        for &(op, min) in &ds.runtime_min {
-            out.runtime_operator.push(op_code(op));
-            out.runtime_min.push(min);
-        }
+        out.set_aggregates(&ds.unique_cells, &ds.runtime_min);
         debug_assert_eq!(out.tput.len(), ds.tput.len());
         debug_assert_eq!(out.rtt.len(), ds.rtt.len());
         debug_assert_eq!(out.coverage.len(), ds.coverage.len());
@@ -1206,6 +1225,19 @@ impl ColumnarDataset {
         debug_assert_eq!(out.apps.len(), ds.apps.len());
         debug_assert_eq!(out.audits.len(), ds.audits.len());
         out
+    }
+
+    /// Replace the per-operator Table-1 aggregates (unique-cell counts
+    /// and runtimes).
+    pub fn set_aggregates(
+        &mut self,
+        unique_cells: &[(Operator, usize)],
+        runtime_min: &[(Operator, f64)],
+    ) {
+        self.cells_operator = unique_cells.iter().map(|&(op, _)| op_code(op)).collect();
+        self.cells_count = unique_cells.iter().map(|&(_, n)| to_u64(n)).collect();
+        self.runtime_operator = runtime_min.iter().map(|&(op, _)| op_code(op)).collect();
+        self.runtime_min = runtime_min.iter().map(|&(_, m)| m).collect();
     }
 
     /// Reconstruct the row dataset, in the stored order. Fails only on
@@ -1235,7 +1267,7 @@ impl ColumnarDataset {
         for i in 0..self.handovers.len() {
             ds.handovers.push(self.handovers.row(pos(i))?);
         }
-        ds.apps = self.apps.to_rows()?;
+        ds.apps = self.apps.rows().collect::<Result<_, _>>()?;
         for i in 0..self.audits.len() {
             ds.audits.push(self.audits.row(pos(i))?);
         }
@@ -1250,8 +1282,10 @@ impl ColumnarDataset {
     }
 
     /// Structural validity: every table's columns agree on the row
-    /// count and the per-operator aggregate pairs line up. Enum codes
-    /// are validated lazily by [`ColumnarDataset::to_rows`].
+    /// count, every enum-code column holds only catalogued codes, the
+    /// flat app sections add up, and the per-operator aggregate pairs
+    /// line up. Data that passes converts to rows without error, and
+    /// its codes index the view's partition arrays safely.
     pub fn check(&self) -> Result<(), ColumnError> {
         self.tput.check()?;
         self.rtt.check()?;
@@ -1260,23 +1294,19 @@ impl ColumnarDataset {
         self.handovers.check()?;
         self.apps.check()?;
         self.audits.check()?;
-        if self.cells_operator.len() != self.cells_count.len() {
-            return Err(ColumnError(
-                "unique-cell columns disagree on row count".to_string(),
-            ));
-        }
-        if self.runtime_operator.len() != self.runtime_min.len() {
-            return Err(ColumnError(
-                "runtime columns disagree on row count".to_string(),
-            ));
-        }
-        Ok(())
+        let (cells, runtimes) = (self.cells_count.len(), self.runtime_min.len());
+        codes(&self.cells_operator, cells, "unique-cell operator", op_from)?;
+        codes(
+            &self.runtime_operator,
+            runtimes,
+            "runtime operator",
+            op_from,
+        )
     }
 
     /// True when every table is in the canonical [`Dataset::normalize`]
-    /// order (the view builder's debug assertion: columnar conversion
-    /// must preserve dataset order, or figure multisets would silently
-    /// reorder).
+    /// order — what lets `DatasetView::from_columns` index a decoded
+    /// file directly instead of re-sorting it.
     pub fn is_normalized(&self) -> bool {
         let tput_keys = (0..self.tput.len()).map(|i| (self.tput.t_ms[i], self.tput.test_id[i]));
         let rtt_keys = (0..self.rtt.len()).map(|i| (self.rtt.t_ms[i], self.rtt.test_id[i]));
@@ -1313,22 +1343,6 @@ impl ColumnarDataset {
             && sorted(audit_keys)
             && sorted(self.cells_operator.iter())
             && sorted(self.runtime_operator.iter())
-    }
-}
-
-/// Auto-detecting loader: WCD1 bytes decode without a parse step,
-/// anything else is treated as the pinned JSON interchange format.
-/// Returns the row dataset plus the format that was detected.
-pub fn load_dataset(bytes: &[u8]) -> Result<(Dataset, &'static str), ColumnError> {
-    if bytes.starts_with(wcd::MAGIC) {
-        let cols = wcd::decode(bytes).map_err(|e| ColumnError(e.to_string()))?;
-        Ok((cols.to_rows()?, "bin"))
-    } else {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| ColumnError("dataset file is neither WCD1 nor UTF-8 JSON".to_string()))?;
-        let ds = serde_json::from_str(text)
-            .map_err(|e| ColumnError(format!("JSON dataset does not parse: {e}")))?;
-        Ok((ds, "json"))
     }
 }
 
@@ -1378,15 +1392,5 @@ mod tests {
         assert!(!ColumnarDataset::from_rows(&ds).is_normalized());
         ds.normalize();
         assert!(ColumnarDataset::from_rows(&ds).is_normalized());
-    }
-
-    #[test]
-    fn load_dataset_detects_json() {
-        let ds = Dataset::default();
-        let json = serde_json::to_string(&ds).expect("serializes");
-        let (back, fmt) = load_dataset(json.as_bytes()).expect("loads");
-        assert_eq!(fmt, "json");
-        assert_eq!(back, ds);
-        assert!(load_dataset(b"garbage \xff\xfe").is_err());
     }
 }

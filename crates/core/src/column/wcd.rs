@@ -34,7 +34,7 @@ use crate::checkpoint::{fnv1a64, write_atomic_with};
 use super::ColumnarDataset;
 
 /// File magic; also the auto-detection key used by
-/// [`super::load_dataset`].
+/// [`DatasetView::load`](crate::analysis::view::DatasetView::load).
 pub const MAGIC: &[u8; 4] = b"WCD1";
 
 const TAG_U8: u8 = 1;
@@ -438,7 +438,8 @@ fn fill(slot: EntrySource<'_>, tag: u8, payload: &[u8], name: &str) -> Result<()
 
 /// Deserialize WCD1 bytes into a columnar dataset. Strict: the file
 /// must contain exactly the catalogue's columns, in catalogue order,
-/// with matching tags and checksums.
+/// with matching tags and checksums, and the result must pass
+/// [`ColumnarDataset::check`] (row counts and every enum code).
 pub fn decode(bytes: &[u8]) -> Result<ColumnarDataset, WcdError> {
     let mut r = Reader { bytes, pos: 0 };
     if r.take(4, "magic").ok() != Some(MAGIC.as_slice()) {

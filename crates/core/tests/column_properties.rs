@@ -10,7 +10,8 @@ use proptest::prelude::*;
 use wheels_apps::arcav::OffloadStats;
 use wheels_apps::gaming::GamingStats;
 use wheels_apps::video::{ChunkRecord, VideoStats};
-use wheels_core::column::{wcd, ColumnarDataset};
+use wheels_core::analysis::view::DatasetView;
+use wheels_core::column::{wcd, ColumnarDataset, NONE_CODE};
 use wheels_core::disrupt::FaultKind;
 use wheels_core::records::{
     AppRun, CoverageSample, Dataset, RttSample, TaggedHandover, TestAudit, TestKind, TestRun,
@@ -336,6 +337,88 @@ proptest! {
             prop_assert!(col.iter().all(|v| !v.is_nan()), "NaN leaked into {}", name);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A valid but unsorted columnar dataset (a foreign or hand-built
+    /// file) builds the same view as its sorted twin: identical
+    /// canonical rows and identical memoized CDFs and coverage shares.
+    #[test]
+    fn unsorted_columns_build_the_sorted_view(seeds in prop::collection::vec(any::<u64>(), 2..60)) {
+        let ds = dataset_from(&seeds);
+        let mut sorted_rows = ds.clone();
+        sorted_rows.normalize();
+        let shuffled = DatasetView::from_columns(ColumnarDataset::from_rows(&ds))
+            .expect("valid unsorted columns build a view");
+        let sorted = DatasetView::from_columns(ColumnarDataset::from_rows(&sorted_rows))
+            .expect("valid sorted columns build a view");
+        prop_assert_eq!(shuffled.to_dataset(), sorted_rows.clone());
+        prop_assert_eq!(sorted.to_dataset(), sorted_rows);
+        let ops = [None, Some(Operator::Verizon), Some(Operator::TMobile), Some(Operator::Att)];
+        for op in ops {
+            for drv in [None, Some(false), Some(true)] {
+                for dir in [None, Some(Direction::Downlink), Some(Direction::Uplink)] {
+                    prop_assert_eq!(shuffled.tput_cdf(op, dir, drv), sorted.tput_cdf(op, dir, drv));
+                }
+                prop_assert_eq!(shuffled.rtt_cdf(op, drv), sorted.rtt_cdf(op, drv));
+            }
+        }
+        for op in Operator::ALL {
+            prop_assert_eq!(
+                shuffled.coverage_share(op).pct_5g(),
+                sorted.coverage_share(op).pct_5g()
+            );
+        }
+    }
+}
+
+/// WCD1 decoding is total over enum codes: an image whose code columns
+/// hold a value outside the catalogue is refused by `wcd::decode` (and
+/// by `DatasetView::from_columns`), instead of decoding to columns that
+/// would index past the view's partition arrays.
+#[test]
+fn unknown_enum_codes_are_refused() {
+    let good = ColumnarDataset::from_rows(&dataset_from(&[1, 2, 3, 4, 5, 6, 7, 8]));
+    assert!(wcd::decode(&wcd::encode(&good)).is_ok());
+    type Corrupt = fn(&mut ColumnarDataset);
+    let corruptions: [(&str, Corrupt); 8] = [
+        ("tput operator", |c| c.tput.operator[0] = 9),
+        // One past the last technology (the `None` sentinel is 0xFF).
+        ("coverage tech", |c| {
+            c.coverage.tech[0] = Technology::ALL.len() as u8
+        }),
+        ("tput driving", |c| c.tput.driving[0] = 2),
+        ("rtt tech", |c| c.rtt.tech[0] = NONE_CODE),
+        ("runs kind", |c| c.runs.kind[0] = 7),
+        ("handover direction", |c| c.handovers.direction[0] = 2),
+        ("app kind", |c| c.apps.kind[0] = 200),
+        ("unique-cell operator", |c| c.cells_operator[0] = 3),
+    ];
+    for (what, corrupt) in corruptions {
+        let mut bad = good.clone();
+        corrupt(&mut bad);
+        let err = wcd::decode(&wcd::encode(&bad)).expect_err(what);
+        assert!(err.to_string().contains(what), "{what}: {err}");
+        let err = DatasetView::from_columns(bad)
+            .err()
+            .unwrap_or_else(|| panic!("{what}: the view accepted the code"));
+        assert!(err.to_string().contains(what), "{what}: {err}");
+    }
+}
+
+/// App sections that do not add up to their length columns are refused
+/// by the structural check, so the view's row walk cannot overrun.
+#[test]
+fn app_sections_must_match_their_length_columns() {
+    let good = ColumnarDataset::from_rows(&dataset_from(&[1, 2, 3, 4, 5, 6, 7, 8]));
+    let mut bad = good.clone();
+    bad.apps.off_e2e_ms.push(1.0);
+    assert!(bad.check().is_err());
+    let mut bad = good;
+    bad.apps.gam_latency_ms.pop();
+    assert!(bad.check().is_err());
 }
 
 /// Empty tables are not a degenerate case: the empty dataset round-trips

@@ -152,8 +152,8 @@ fn assert_views_match(got: &DatasetView, want: &DatasetView) {
     for &op in &op_filters() {
         for &drv in &DRV {
             for &dir in &dir_filters() {
-                let g: Vec<TputSample> = got.tput_iter(op, dir, drv).cloned().collect();
-                let w: Vec<TputSample> = want.tput_iter(op, dir, drv).cloned().collect();
+                let g: Vec<TputSample> = got.tput_iter(op, dir, drv).collect();
+                let w: Vec<TputSample> = want.tput_iter(op, dir, drv).collect();
                 assert_eq!(g, w, "tput_iter({op:?},{dir:?},{drv:?})");
                 let (gc, wc) = (got.tput_cdf(op, dir, drv), want.tput_cdf(op, dir, drv));
                 assert_eq!(gc, wc, "tput_cdf({op:?},{dir:?},{drv:?})");
@@ -161,8 +161,8 @@ fn assert_views_match(got: &DatasetView, want: &DatasetView) {
                     assert_eq!(gc.quantile(q), wc.quantile(q), "tput quantile {q}");
                 }
             }
-            let g: Vec<RttSample> = got.rtt_iter(op, drv).cloned().collect();
-            let w: Vec<RttSample> = want.rtt_iter(op, drv).cloned().collect();
+            let g: Vec<RttSample> = got.rtt_iter(op, drv).collect();
+            let w: Vec<RttSample> = want.rtt_iter(op, drv).collect();
             assert_eq!(g, w, "rtt_iter({op:?},{drv:?})");
             let (gc, wc) = (got.rtt_cdf(op, drv), want.rtt_cdf(op, drv));
             assert_eq!(gc, wc, "rtt_cdf({op:?},{drv:?})");
@@ -176,24 +176,20 @@ fn assert_views_match(got: &DatasetView, want: &DatasetView) {
         for dir in Direction::ALL {
             for drv in [false, true] {
                 for tech in Technology::ALL {
-                    let g: Vec<TputSample> = got.tput_tech(op, dir, drv, tech).cloned().collect();
-                    let w: Vec<TputSample> = want.tput_tech(op, dir, drv, tech).cloned().collect();
+                    let g: Vec<TputSample> = got.tput_tech(op, dir, drv, tech).collect();
+                    let w: Vec<TputSample> = want.tput_tech(op, dir, drv, tech).collect();
                     assert_eq!(g, w, "tput_tech({op:?},{dir:?},{drv},{tech:?})");
                     for bin in SpeedBin::ALL {
-                        let g: Vec<TputSample> = got
-                            .tput_bin_tech(op, dir, drv, bin, tech)
-                            .cloned()
-                            .collect();
-                        let w: Vec<TputSample> = want
-                            .tput_bin_tech(op, dir, drv, bin, tech)
-                            .cloned()
-                            .collect();
+                        let g: Vec<TputSample> =
+                            got.tput_bin_tech(op, dir, drv, bin, tech).collect();
+                        let w: Vec<TputSample> =
+                            want.tput_bin_tech(op, dir, drv, bin, tech).collect();
                         assert_eq!(g, w, "tput_bin_tech({op:?},{dir:?},{drv},{bin:?},{tech:?})");
                     }
                 }
                 for tz in Timezone::ALL {
-                    let g: Vec<TputSample> = got.tput_tz(op, dir, drv, tz).cloned().collect();
-                    let w: Vec<TputSample> = want.tput_tz(op, dir, drv, tz).cloned().collect();
+                    let g: Vec<TputSample> = got.tput_tz(op, dir, drv, tz).collect();
+                    let w: Vec<TputSample> = want.tput_tz(op, dir, drv, tz).collect();
                     assert_eq!(g, w, "tput_tz({op:?},{dir:?},{drv},{tz:?})");
                 }
                 let g =
@@ -205,73 +201,65 @@ fn assert_views_match(got: &DatasetView, want: &DatasetView) {
         }
         for drv in [false, true] {
             for tech in Technology::ALL {
-                let g: Vec<RttSample> = got.rtt_tech(op, drv, tech).cloned().collect();
-                let w: Vec<RttSample> = want.rtt_tech(op, drv, tech).cloned().collect();
+                let g: Vec<RttSample> = got.rtt_tech(op, drv, tech).collect();
+                let w: Vec<RttSample> = want.rtt_tech(op, drv, tech).collect();
                 assert_eq!(g, w, "rtt_tech({op:?},{drv},{tech:?})");
                 for bin in SpeedBin::ALL {
-                    let g: Vec<RttSample> = got.rtt_bin_tech(op, drv, bin, tech).cloned().collect();
-                    let w: Vec<RttSample> =
-                        want.rtt_bin_tech(op, drv, bin, tech).cloned().collect();
+                    let g: Vec<RttSample> = got.rtt_bin_tech(op, drv, bin, tech).collect();
+                    let w: Vec<RttSample> = want.rtt_bin_tech(op, drv, bin, tech).collect();
                     assert_eq!(g, w, "rtt_bin_tech({op:?},{drv},{bin:?},{tech:?})");
                 }
             }
         }
-        let g: Vec<_> = got.coverage_for(op).cloned().collect();
-        let w: Vec<_> = want.coverage_for(op).cloned().collect();
+        let g: Vec<_> = got.coverage_for(op).collect();
+        let w: Vec<_> = want.coverage_for(op).collect();
         assert_eq!(g, w, "coverage_for({op:?})");
     }
 
     let g: Vec<(u32, Vec<TputSample>)> = got
         .tput_tests(None, None, None)
-        .map(|(id, it)| (id, it.cloned().collect()))
+        .map(|(id, it)| (id, it.collect()))
         .collect();
     let w: Vec<(u32, Vec<TputSample>)> = want
         .tput_tests(None, None, None)
-        .map(|(id, it)| (id, it.cloned().collect()))
+        .map(|(id, it)| (id, it.collect()))
         .collect();
     assert_eq!(g, w, "tput_tests");
     let g: Vec<(u32, Vec<RttSample>)> = got
         .rtt_tests(None, None)
-        .map(|(id, it)| (id, it.cloned().collect()))
+        .map(|(id, it)| (id, it.collect()))
         .collect();
     let w: Vec<(u32, Vec<RttSample>)> = want
         .rtt_tests(None, None)
-        .map(|(id, it)| (id, it.cloned().collect()))
+        .map(|(id, it)| (id, it.collect()))
         .collect();
     assert_eq!(g, w, "rtt_tests");
 
     assert_eq!(got.impacts(), want.impacts(), "handover impacts");
 
     // Small tables are physically canonical on both sides.
-    assert_eq!(got.dataset().runs, want.dataset().runs, "runs table");
-    assert_eq!(
-        got.dataset().handovers,
-        want.dataset().handovers,
-        "handovers table"
-    );
-    assert_eq!(got.dataset().apps, want.dataset().apps, "apps table");
-    assert_eq!(got.dataset().audits, want.dataset().audits, "audits table");
+    let (gc, wc) = (got.columns(), want.columns());
+    assert_eq!(gc.runs, wc.runs, "runs table");
+    assert_eq!(gc.handovers, wc.handovers, "handovers table");
+    assert_eq!(gc.apps, wc.apps, "apps table");
+    assert_eq!(gc.audits, wc.audits, "audits table");
 
     // Table 1 accounting: cell counts and runtimes are integer-derived
     // and must match exactly; byte totals are f64 sums whose order
     // follows arrival, so they match to accumulation round-off.
     assert_eq!(
-        got.dataset().unique_cells,
-        want.dataset().unique_cells,
+        got.unique_cells().collect::<Vec<_>>(),
+        want.unique_cells().collect::<Vec<_>>(),
         "unique cells"
     );
     assert_eq!(
-        got.dataset().runtime_min,
-        want.dataset().runtime_min,
+        got.runtime_min().collect::<Vec<_>>(),
+        want.runtime_min().collect::<Vec<_>>(),
         "runtime minutes"
     );
-    assert_close(got.dataset().rx_bytes, want.dataset().rx_bytes, "rx_bytes");
-    assert_close(got.dataset().tx_bytes, want.dataset().tx_bytes, "tx_bytes");
-    assert_close(
-        got.dataset().log_bytes,
-        want.dataset().log_bytes,
-        "log_bytes",
-    );
+    assert_close(gc.rx_bytes, wc.rx_bytes, "rx_bytes");
+    assert_close(gc.tx_bytes, wc.tx_bytes, "tx_bytes");
+    assert_close(gc.log_bytes, wc.log_bytes, "log_bytes");
 }
 
 proptest! {
@@ -293,8 +281,8 @@ proptest! {
         }
         assert_views_match(&view, &sc.full);
 
-        let exported = view.into_dataset();
-        let want = sc.full.dataset();
+        let exported = view.to_dataset();
+        let want = &sc.full.to_dataset();
         prop_assert_eq!(&exported.tput, &want.tput);
         prop_assert_eq!(&exported.rtt, &want.rtt);
         prop_assert_eq!(&exported.coverage, &want.coverage);
@@ -314,7 +302,7 @@ proptest! {
 fn merge_window_is_runtime_knob_under_faults() {
     let campaign = Campaign::standard(7);
     let base = cfg(true);
-    let want = serde_json::to_string(scenario(true).full.dataset()).expect("serializes");
+    let want = serde_json::to_string(&scenario(true).full.to_dataset()).expect("serializes");
     for (threads, window) in [(1, Some(1)), (4, Some(1)), (2, Some(3)), (4, None)] {
         let mut c = base.clone();
         c.threads = Some(threads);

@@ -147,13 +147,13 @@ proptest! {
         cov_seeds in prop::collection::vec(any::<u64>(), 0..100),
     ) {
         let view = build_view(&tput_seeds, &rtt_seeds, &cov_seeds);
-        let ds = view.dataset();
+        let ds = &view.to_dataset();
 
         for &op in &op_filters() {
             for &dir in &dir_filters() {
                 for drv in [None, Some(false), Some(true)] {
-                    let got: Vec<&TputSample> = view.tput_iter(op, dir, drv).collect();
-                    let want: Vec<&TputSample> = ds.tput_where(op, dir, drv).collect();
+                    let got: Vec<TputSample> = view.tput_iter(op, dir, drv).collect();
+                    let want: Vec<TputSample> = ds.tput_where(op, dir, drv).copied().collect();
                     prop_assert_eq!(got, want, "tput_iter({:?},{:?},{:?})", op, dir, drv);
                     let want_cdf =
                         Cdf::from_samples(ds.tput_where(op, dir, drv).map(|s| s.mbps));
@@ -165,14 +165,15 @@ proptest! {
                 }
             }
             for drv in [None, Some(false), Some(true)] {
-                let got: Vec<&RttSample> = view.rtt_iter(op, drv).collect();
-                let want: Vec<&RttSample> = ds
+                let got: Vec<RttSample> = view.rtt_iter(op, drv).collect();
+                let want: Vec<RttSample> = ds
                     .rtt
                     .iter()
                     .filter(|s| {
                         op.is_none_or(|o| s.operator == o)
                             && drv.is_none_or(|d| s.driving == d)
                     })
+                    .copied()
                     .collect();
                 prop_assert_eq!(got, want, "rtt_iter({:?},{:?})", op, drv);
                 let got_vals: Vec<f64> = view.rtt_values(op, drv).collect();
@@ -188,9 +189,9 @@ proptest! {
         }
 
         for op in Operator::ALL {
-            let got: Vec<&CoverageSample> = view.coverage_for(op).collect();
-            let want: Vec<&CoverageSample> =
-                ds.coverage.iter().filter(|c| c.operator == op).collect();
+            let got: Vec<CoverageSample> = view.coverage_for(op).collect();
+            let want: Vec<CoverageSample> =
+                ds.coverage.iter().filter(|c| c.operator == op).copied().collect();
             prop_assert_eq!(got, want, "coverage_for({:?})", op);
         }
     }
@@ -201,29 +202,29 @@ proptest! {
         rtt_seeds in prop::collection::vec(any::<u64>(), 0..150),
     ) {
         let view = build_view(&tput_seeds, &rtt_seeds, &[]);
-        let ds = view.dataset();
+        let ds = &view.to_dataset();
 
         for op in Operator::ALL {
             for dir in Direction::ALL {
                 for drv in [false, true] {
-                    let base = || ds.tput_where(Some(op), Some(dir), Some(drv));
+                    let base = || ds.tput_where(Some(op), Some(dir), Some(drv)).copied();
                     for tech in Technology::ALL {
-                        let got: Vec<&TputSample> =
+                        let got: Vec<TputSample> =
                             view.tput_tech(op, dir, drv, tech).collect();
-                        let want: Vec<&TputSample> =
+                        let want: Vec<TputSample> =
                             base().filter(|s| s.tech == tech).collect();
                         prop_assert_eq!(got, want, "tput_tech {:?}", tech);
                     }
                     for tz in Timezone::ALL {
-                        let got: Vec<&TputSample> = view.tput_tz(op, dir, drv, tz).collect();
-                        let want: Vec<&TputSample> = base().filter(|s| s.tz == tz).collect();
+                        let got: Vec<TputSample> = view.tput_tz(op, dir, drv, tz).collect();
+                        let want: Vec<TputSample> = base().filter(|s| s.tz == tz).collect();
                         prop_assert_eq!(got, want, "tput_tz {:?}", tz);
                     }
                     for bin in SpeedBin::ALL {
                         for tech in Technology::ALL {
-                            let got: Vec<&TputSample> =
+                            let got: Vec<TputSample> =
                                 view.tput_bin_tech(op, dir, drv, bin, tech).collect();
-                            let want: Vec<&TputSample> = base()
+                            let want: Vec<TputSample> = base()
                                 .filter(|s| {
                                     s.tech == tech
                                         && SpeedBin::of(Speed::from_mph(s.speed_mph)) == bin
@@ -232,15 +233,15 @@ proptest! {
                             prop_assert_eq!(got, want, "tput_bin_tech {:?} {:?}", bin, tech);
                         }
                     }
-                    let got: Vec<(u32, Vec<&TputSample>)> = view
+                    let got: Vec<(u32, Vec<TputSample>)> = view
                         .tput_tests(Some(op), Some(dir), Some(drv))
                         .map(|(id, it)| (id, it.collect()))
                         .collect();
-                    let mut groups: BTreeMap<u32, Vec<&TputSample>> = BTreeMap::new();
+                    let mut groups: BTreeMap<u32, Vec<TputSample>> = BTreeMap::new();
                     for s in base() {
                         groups.entry(s.test_id).or_default().push(s);
                     }
-                    let want: Vec<(u32, Vec<&TputSample>)> = groups.into_iter().collect();
+                    let want: Vec<(u32, Vec<TputSample>)> = groups.into_iter().collect();
                     prop_assert_eq!(got, want, "tput_tests {:?} {:?} {}", op, dir, drv);
                 }
             }
@@ -249,17 +250,18 @@ proptest! {
                     ds.rtt
                         .iter()
                         .filter(move |s| s.operator == op && s.driving == drv)
+                        .copied()
                 };
                 for tech in Technology::ALL {
-                    let got: Vec<&RttSample> = view.rtt_tech(op, drv, tech).collect();
-                    let want: Vec<&RttSample> = base().filter(|s| s.tech == tech).collect();
+                    let got: Vec<RttSample> = view.rtt_tech(op, drv, tech).collect();
+                    let want: Vec<RttSample> = base().filter(|s| s.tech == tech).collect();
                     prop_assert_eq!(got, want, "rtt_tech {:?}", tech);
                 }
                 for bin in SpeedBin::ALL {
                     for tech in Technology::ALL {
-                        let got: Vec<&RttSample> =
+                        let got: Vec<RttSample> =
                             view.rtt_bin_tech(op, drv, bin, tech).collect();
-                        let want: Vec<&RttSample> = base()
+                        let want: Vec<RttSample> = base()
                             .filter(|s| {
                                 s.tech == tech
                                     && SpeedBin::of(Speed::from_mph(s.speed_mph)) == bin
@@ -268,15 +270,15 @@ proptest! {
                         prop_assert_eq!(got, want, "rtt_bin_tech {:?} {:?}", bin, tech);
                     }
                 }
-                let got: Vec<(u32, Vec<&RttSample>)> = view
+                let got: Vec<(u32, Vec<RttSample>)> = view
                     .rtt_tests(Some(op), Some(drv))
                     .map(|(id, it)| (id, it.collect()))
                     .collect();
-                let mut groups: BTreeMap<u32, Vec<&RttSample>> = BTreeMap::new();
+                let mut groups: BTreeMap<u32, Vec<RttSample>> = BTreeMap::new();
                 for s in base() {
                     groups.entry(s.test_id).or_default().push(s);
                 }
-                let want: Vec<(u32, Vec<&RttSample>)> = groups.into_iter().collect();
+                let want: Vec<(u32, Vec<RttSample>)> = groups.into_iter().collect();
                 prop_assert_eq!(got, want, "rtt_tests {:?} {}", op, drv);
             }
         }

@@ -79,19 +79,20 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(1);
     });
-    let ds = world.dataset();
+    let cols = world.view().columns();
     eprintln!(
         "serializing {} tput / {} rtt / {} coverage / {} runs / {} handovers / {} app runs",
-        ds.tput.len(),
-        ds.rtt.len(),
-        ds.coverage.len(),
-        ds.runs.len(),
-        ds.handovers.len(),
-        ds.apps.len()
+        cols.tput.len(),
+        cols.rtt.len(),
+        cols.coverage.len(),
+        cols.runs.len(),
+        cols.handovers.len(),
+        cols.apps.len()
     );
     match args.format {
+        // The JSON export is the one place the rows are built.
         Format::Json => {
-            let bytes = serde_json::to_string(ds)
+            let bytes = serde_json::to_string(world.dataset())
                 .expect("dataset serializes")
                 .into_bytes();
             match out_path {
@@ -111,35 +112,32 @@ fn main() {
                 }
             }
         }
-        // The world's view already holds the columnar twin; the binary
-        // export streams its sections straight to the sink (temp file +
-        // atomic rename, or stdout) — the full encoded image never
-        // exists in memory, so peak RSS stays near the dataset itself.
-        Format::Bin => {
-            let cols = world.view().columns();
-            match out_path {
-                Some(p) => {
-                    let path = Path::new(&p);
-                    if let Err(e) = wcd::write_file(path, cols) {
-                        eprintln!("cannot write {p}: {e}");
-                        std::process::exit(1);
-                    }
-                    let written = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                    eprintln!("wrote {p} ({} MB)", written / 1_000_000);
+        // The binary export streams the view's columns straight to the
+        // sink (temp file + atomic rename, or stdout) — the full encoded
+        // image never exists in memory, so peak RSS stays near the
+        // dataset itself.
+        Format::Bin => match out_path {
+            Some(p) => {
+                let path = Path::new(&p);
+                if let Err(e) = wcd::write_file(path, cols) {
+                    eprintln!("cannot write {p}: {e}");
+                    std::process::exit(1);
                 }
-                None => {
-                    let mut w = std::io::BufWriter::new(std::io::stdout().lock());
-                    let streamed = wcd::encode_to(cols, &mut w)
-                        .and_then(|()| w.flush().map_err(wcd::WcdError::from));
-                    if let Err(e) = streamed {
-                        if let wcd::WcdError::Io(io) = &e {
-                            exit_broken_pipe_quietly(io);
-                        }
-                        eprintln!("cannot write dataset to stdout: {e}");
-                        std::process::exit(1);
+                let written = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+                eprintln!("wrote {p} ({} MB)", written / 1_000_000);
+            }
+            None => {
+                let mut w = std::io::BufWriter::new(std::io::stdout().lock());
+                let streamed = wcd::encode_to(cols, &mut w)
+                    .and_then(|()| w.flush().map_err(wcd::WcdError::from));
+                if let Err(e) = streamed {
+                    if let wcd::WcdError::Io(io) = &e {
+                        exit_broken_pipe_quietly(io);
                     }
+                    eprintln!("cannot write dataset to stdout: {e}");
+                    std::process::exit(1);
                 }
             }
-        }
+        },
     }
 }

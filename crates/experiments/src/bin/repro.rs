@@ -35,6 +35,7 @@
 
 use std::io::Write;
 
+use wheels_core::analysis::view::DatasetView;
 use wheels_core::disrupt::FaultConfig;
 use wheels_experiments::world::{Scale, Tuning, World};
 use wheels_experiments::{cli, registry, render_report, resolve};
@@ -93,12 +94,12 @@ fn main() {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(1);
         });
-        let (ds, fmt) = wheels_core::column::load_dataset(&bytes).unwrap_or_else(|e| {
+        let (view, fmt) = DatasetView::load(&bytes).unwrap_or_else(|e| {
             eprintln!("cannot load {path}: {e}");
             std::process::exit(1);
         });
         eprintln!("loaded {path} ({fmt} format, {} bytes)", bytes.len());
-        Ok(World::from_dataset(args.scale, args.seed, ds))
+        Ok(World::from_view(args.scale, args.seed, view))
     } else {
         let tuning = Tuning {
             threads: args.threads,
@@ -128,14 +129,14 @@ fn main() {
         eprintln!("{e}");
         std::process::exit(1);
     });
-    let ds = world.dataset();
+    let cols = world.view().columns();
     eprintln!(
         "world ready in {:.1}s: {} tput samples, {} rtt samples, {} app runs, {} handovers",
         t0.elapsed().as_secs_f64(),
-        ds.tput.len(),
-        ds.rtt.len(),
-        ds.apps.len(),
-        ds.handovers.len()
+        cols.tput.len(),
+        cols.rtt.len(),
+        cols.apps.len(),
+        cols.handovers.len()
     );
 
     let report = render_report(&world, &exps, args.threads);

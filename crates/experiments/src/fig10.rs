@@ -23,9 +23,8 @@ pub fn tput_vs_hs5g(world: &World, op: Operator, dir: Direction) -> Vec<(f64, f6
         .map(|(id, samples)| (id, samples.map(|s| s.mbps).collect()))
         .collect();
     world
-        .dataset()
-        .runs
-        .iter()
+        .view()
+        .runs()
         .filter(|r| r.operator == op && r.kind == kind && r.driving)
         .filter_map(|r| {
             let v = by_test.get(&r.id)?;

@@ -9,7 +9,7 @@ use crate::world::World;
 
 /// Render the figure.
 pub fn run(world: &World) -> String {
-    let ds = world.dataset();
+    let cols = world.view().columns();
     let mut out = String::from("Fig. 11a — handovers per mile during throughput tests\n");
     for dir in Direction::ALL {
         out.push_str(&format!("{}:\n", dir.label()));
@@ -17,7 +17,7 @@ pub fn run(world: &World) -> String {
             out.push_str(&format!(
                 "  {:<9}: {}\n",
                 op.label(),
-                fmt::cdf_line(handover::handovers_per_mile(ds, op, dir))
+                fmt::cdf_line(handover::handovers_per_mile(&cols.runs, op, dir))
             ));
         }
     }
@@ -28,7 +28,7 @@ pub fn run(world: &World) -> String {
             out.push_str(&format!(
                 "  {:<9}: {}\n",
                 op.label(),
-                fmt::cdf_line(handover::durations_ms(ds, op, dir))
+                fmt::cdf_line(handover::durations_ms(&cols.handovers, op, dir))
             ));
         }
     }
@@ -46,7 +46,7 @@ mod tests {
         let w = World::quick();
         for op in Operator::ALL {
             for dir in Direction::ALL {
-                let rates = handover::handovers_per_mile(w.dataset(), op, dir);
+                let rates = handover::handovers_per_mile(&w.view().columns().runs, op, dir);
                 if rates.len() < 10 {
                     continue;
                 }
@@ -64,7 +64,7 @@ mod tests {
         let mut max = 0.0f64;
         for op in Operator::ALL {
             for dir in Direction::ALL {
-                for r in handover::handovers_per_mile(w.dataset(), op, dir) {
+                for r in handover::handovers_per_mile(&w.view().columns().runs, op, dir) {
                     max = max.max(r);
                 }
             }
@@ -77,8 +77,9 @@ mod tests {
         // Fig. 11b: V ≈ 53 ms, T ≈ 76 ms, A ≈ 58 ms (DL).
         let w = World::quick();
         let med = |op: Operator| {
-            let mut d = handover::durations_ms(w.dataset(), op, Direction::Downlink);
-            d.extend(handover::durations_ms(w.dataset(), op, Direction::Uplink));
+            let hos = &w.view().columns().handovers;
+            let mut d = handover::durations_ms(hos, op, Direction::Downlink);
+            d.extend(handover::durations_ms(hos, op, Direction::Uplink));
             Cdf::from_samples(d).median()
         };
         if let (Some(v), Some(t), Some(a)) = (

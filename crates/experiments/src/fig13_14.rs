@@ -19,14 +19,13 @@ pub fn runs(
     op: Operator,
     kind: TestKind,
     compressed: bool,
-) -> Vec<(&OffloadStats, ServerKind)> {
+) -> Vec<(OffloadStats, ServerKind)> {
     world
-        .dataset()
-        .apps
-        .iter()
+        .view()
+        .apps()
         .filter(|a| a.operator == op && a.kind == kind && a.driving)
         .filter_map(|a| {
-            let s = a.offload.as_ref()?;
+            let s = a.offload?;
             (s.compressed == compressed).then_some((s, a.server))
         })
         .collect()

@@ -12,13 +12,12 @@ use crate::fmt;
 use crate::world::World;
 
 /// All driving video runs for one operator.
-pub fn runs(world: &World, op: Operator) -> Vec<(&VideoStats, ServerKind)> {
+pub fn runs(world: &World, op: Operator) -> Vec<(VideoStats, ServerKind)> {
     world
-        .dataset()
-        .apps
-        .iter()
+        .view()
+        .apps()
         .filter(|a| a.operator == op && a.kind == TestKind::Video && a.driving)
-        .filter_map(|a| Some((a.video.as_ref()?, a.server)))
+        .filter_map(|a| Some((a.video?, a.server)))
         .collect()
 }
 

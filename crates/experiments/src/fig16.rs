@@ -11,13 +11,12 @@ use crate::fmt;
 use crate::world::World;
 
 /// All driving gaming runs for one operator.
-pub fn runs(world: &World, op: Operator) -> Vec<&GamingStats> {
+pub fn runs(world: &World, op: Operator) -> Vec<GamingStats> {
     world
-        .dataset()
-        .apps
-        .iter()
+        .view()
+        .apps()
         .filter(|a| a.operator == op && a.kind == TestKind::Gaming && a.driving)
-        .filter_map(|a| a.gaming.as_ref())
+        .filter_map(|a| a.gaming)
         .collect()
 }
 

@@ -3,7 +3,6 @@
 //! supporting numbers. This is the one-screen answer to "did the
 //! reproduction work?".
 
-use wheels_core::analysis::coverage::overall_from;
 use wheels_core::analysis::handover::{drop_fraction, improve_fraction};
 use wheels_radio::tech::Direction;
 use wheels_ran::operator::Operator;
@@ -25,15 +24,14 @@ pub struct Finding {
 
 /// Evaluate all key findings.
 pub fn evaluate(world: &World) -> Vec<Finding> {
-    let ds = world.dataset();
     let view = world.view();
     let mut out = Vec::new();
 
     // 1. 5G coverage low and fragmented; T-Mobile leads.
     {
-        let t = overall_from(view.coverage_for(Operator::TMobile)).pct_5g();
-        let v = overall_from(view.coverage_for(Operator::Verizon)).pct_5g();
-        let a = overall_from(view.coverage_for(Operator::Att)).pct_5g();
+        let t = view.coverage_share(Operator::TMobile).pct_5g();
+        let v = view.coverage_share(Operator::Verizon).pct_5g();
+        let a = view.coverage_share(Operator::Att).pct_5g();
         out.push(Finding {
             claim: "5G coverage while driving is low and uneven; T-Mobile leads, V/A trail",
             holds: t > v && t > a && v < 40.0 && a < 40.0,
@@ -128,9 +126,11 @@ pub fn evaluate(world: &World) -> Vec<Finding> {
         let drop = drop_fraction(imp) * 100.0;
         let improve = improve_fraction(imp) * 100.0;
         let med_dur = Cdf::from_samples(
-            ds.handovers
+            view.columns()
+                .handovers
+                .duration_ms
                 .iter()
-                .map(|h| h.event.duration.as_millis() as f64),
+                .map(|&ms| ms as f64),
         )
         .median()
         .unwrap_or(0.0);

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use wheels_core::records::{Dataset, TestStatus};
+use wheels_core::records::{TestAudit, TestStatus};
 use wheels_ran::operator::Operator;
 
 use crate::fmt;
@@ -59,11 +59,13 @@ impl QualityRow {
     }
 }
 
-/// Aggregate the dataset's audit trail per (operator, trace day),
-/// sorted by operator then day.
-pub fn summarize(ds: &Dataset) -> BTreeMap<(Operator, u8), QualityRow> {
+/// Aggregate an audit trail per (operator, trace day), sorted by
+/// operator then day.
+pub fn summarize(
+    audits: impl IntoIterator<Item = TestAudit>,
+) -> BTreeMap<(Operator, u8), QualityRow> {
     let mut groups: BTreeMap<(Operator, u8), QualityRow> = BTreeMap::new();
-    for a in &ds.audits {
+    for a in audits {
         groups.entry((a.operator, a.day)).or_default().absorb(
             a.status,
             a.attempts,
@@ -76,8 +78,7 @@ pub fn summarize(ds: &Dataset) -> BTreeMap<(Operator, u8), QualityRow> {
 
 /// Render the data-quality report.
 pub fn run(world: &World) -> String {
-    let ds = world.dataset();
-    let groups = summarize(ds);
+    let groups = summarize(world.view().audits());
 
     let mut rows = Vec::new();
     let mut total = QualityRow::default();
@@ -132,7 +133,7 @@ fn render_row(label: &str, r: &QualityRow) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wheels_core::records::{TestAudit, TestKind};
+    use wheels_core::records::TestKind;
     use wheels_sim_core::time::SimTime;
 
     fn audit(
@@ -160,23 +161,12 @@ mod tests {
 
     #[test]
     fn summarize_groups_by_operator_and_day() {
-        let mut ds = Dataset::default();
-        ds.audits.push(audit(
-            Operator::Verizon,
-            0,
-            TestStatus::Completed,
-            1,
-            60,
-            60,
-        ));
-        ds.audits
-            .push(audit(Operator::Verizon, 0, TestStatus::Partial, 2, 60, 40));
-        ds.audits
-            .push(audit(Operator::Verizon, 1, TestStatus::Lost, 3, 100, 0));
-        ds.audits
-            .push(audit(Operator::Att, 0, TestStatus::Completed, 1, 10, 10));
-
-        let groups = summarize(&ds);
+        let groups = summarize([
+            audit(Operator::Verizon, 0, TestStatus::Completed, 1, 60, 60),
+            audit(Operator::Verizon, 0, TestStatus::Partial, 2, 60, 40),
+            audit(Operator::Verizon, 1, TestStatus::Lost, 3, 100, 0),
+            audit(Operator::Att, 0, TestStatus::Completed, 1, 10, 10),
+        ]);
         assert_eq!(groups.len(), 3);
 
         let v0 = groups[&(Operator::Verizon, 0)];
@@ -201,8 +191,8 @@ mod tests {
         let out = run(w);
         assert!(out.contains("sample salvage rate: 100.0%"), "{out}");
         // Audits exist even with faults off.
-        assert!(!w.dataset().audits.is_empty());
-        let groups = summarize(w.dataset());
+        assert!(!w.view().columns().audits.is_empty());
+        let groups = summarize(w.view().audits());
         for row in groups.values() {
             assert_eq!(row.attempted, row.completed);
             assert_eq!(row.partial, 0);

@@ -45,23 +45,20 @@ pub fn passive_handover_estimate(world: &World, op: Operator) -> usize {
 
 /// Regenerate Table 1 next to the paper's numbers.
 pub fn run(world: &World) -> String {
-    let ds = world.dataset();
+    let view = world.view();
+    let cols = view.columns();
     let trace = &world.campaign.trace;
 
     let cells = |op: Operator| {
-        ds.unique_cells
-            .iter()
+        view.unique_cells()
             .find(|(o, _)| *o == op)
-            .map(|(_, n)| *n)
-            .unwrap_or(0)
+            .map_or(0, |(_, n)| n)
     };
     let hos = |op: Operator| passive_handover_estimate(world, op);
     let runtime = |op: Operator| {
-        ds.runtime_min
-            .iter()
+        view.runtime_min()
             .find(|(o, _)| *o == op)
-            .map(|(_, m)| *m)
-            .unwrap_or(0.0)
+            .map_or(0.0, |(_, m)| m)
     };
 
     let rows = vec![
@@ -102,17 +99,17 @@ pub fn run(world: &World) -> String {
         ],
         vec![
             "Data received (GB)".into(),
-            format!("{:.1}", ds.rx_bytes / 1e9),
+            format!("{:.1}", cols.rx_bytes / 1e9),
             format!("{:.0}+", targets::table1::RX_GB),
         ],
         vec![
             "Data transmitted (GB)".into(),
-            format!("{:.1}", ds.tx_bytes / 1e9),
+            format!("{:.1}", cols.tx_bytes / 1e9),
             format!("{:.0}+", targets::table1::TX_GB),
         ],
         vec![
             "Log size (GB)".into(),
-            format!("{:.1}", ds.log_bytes / 1e9),
+            format!("{:.1}", cols.log_bytes / 1e9),
             format!("{:.0}+", targets::table1::LOG_GB),
         ],
         vec![

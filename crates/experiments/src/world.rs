@@ -10,9 +10,11 @@
 //! - [`Scale::Full`] — continuous testing for the whole trip, the paper's
 //!   actual protocol. Minutes to build in release mode.
 //!
-//! The dataset lives inside a [`DatasetView`] built once per world, so
-//! every experiment shares the same partition indices and memoized Cdfs
-//! (and, being `Sync`, the same view backs the parallel runner).
+//! The dataset lives inside a [`DatasetView`] built once per world, as
+//! columns only, so every experiment shares the same partition indices
+//! and memoized Cdfs (and, being `Sync`, the same view backs the
+//! parallel runner). Row tables are built only when the JSON export (or
+//! a test) asks for [`World::dataset`].
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -70,6 +72,10 @@ pub struct World {
     pub campaign: Campaign,
     /// The indexed dataset view (owns the consolidated dataset).
     view: DatasetView,
+    /// Row form of the view for the JSON export, built on the first
+    /// [`World::dataset`] call and dropped by [`World::ingest_shard`].
+    /// Experiments and serve queries never touch it.
+    rows: OnceLock<Dataset>,
     /// The scale it was built at.
     pub scale: Scale,
     /// Streaming-merge telemetry from the build (`None` when the world
@@ -126,6 +132,7 @@ impl World {
         World {
             campaign,
             view: DatasetView::new(dataset),
+            rows: OnceLock::new(),
             scale,
             merge_stats: Some(stats),
         }
@@ -150,32 +157,24 @@ impl World {
         Ok(World {
             campaign,
             view: DatasetView::new(dataset),
+            rows: OnceLock::new(),
             scale,
             merge_stats: Some(stats),
         })
     }
 
-    /// Build a world around an already-materialized dataset (the
-    /// `repro --load` path): no simulation runs — the campaign object is
-    /// constructed for its route/deployment metadata only, and the view
-    /// indexes the given tables directly.
-    pub fn from_dataset(scale: Scale, seed: u64, dataset: Dataset) -> World {
-        World {
-            campaign: Campaign::standard(seed),
-            view: DatasetView::new(dataset),
-            scale,
-            merge_stats: None,
-        }
-    }
-
     /// Build a world around an existing [`DatasetView`] — the
-    /// `wheels-serve` path: the server replays a checkpoint journal into
-    /// a view (or starts from an empty one) and then splices live shards
-    /// in via [`World::ingest_shard`] while experiments query it.
+    /// `wheels-serve` path (the server replays a checkpoint journal into
+    /// a view, or starts from an empty one, and then splices live shards
+    /// in via [`World::ingest_shard`] while experiments query it) and
+    /// the `repro --load` path ([`DatasetView::load`]). No simulation
+    /// runs: the campaign object is constructed for its route and
+    /// deployment metadata only.
     pub fn from_view(scale: Scale, seed: u64, view: DatasetView) -> World {
         World {
             campaign: Campaign::standard(seed),
             view,
+            rows: OnceLock::new(),
             scale,
             merge_stats: None,
         }
@@ -183,9 +182,10 @@ impl World {
 
     /// Splice one campaign shard into the world's view incrementally
     /// (arrival order, targeted memo invalidation) — the live-ingest
-    /// half of the `wheels-serve` loop.
+    /// half of the `wheels-serve` loop. Drops any exported row form.
     pub fn ingest_shard(&mut self, records: ShardRecords) {
         self.view.ingest_shard(records);
+        self.rows = OnceLock::new();
     }
 
     /// The checkpoint-journal identity of a `(scale, seed, faults)` run —
@@ -217,9 +217,12 @@ impl World {
         (campaign, cfg)
     }
 
-    /// The consolidated dataset (normalized).
+    /// The consolidated dataset as normalized rows — the JSON export
+    /// boundary. Built from the view's columns on the first call and
+    /// kept until the next [`World::ingest_shard`]; analysis code reads
+    /// [`World::view`] instead.
     pub fn dataset(&self) -> &Dataset {
-        self.view.dataset()
+        self.rows.get_or_init(|| self.view.to_dataset())
     }
 
     /// The indexed view over the dataset.

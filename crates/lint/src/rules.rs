@@ -798,7 +798,7 @@ const SHARD_ARG_MARKERS: [&str; 6] = [
 /// `ShardRecords` silently restores the all-shards-in-memory behavior
 /// the reorder window exists to prevent. A call is flagged when the
 /// receiver identifier mentions shards or the argument tokens carry a
-/// shard-records marker ([`SHARD_ARG_MARKERS`]); the bounded park
+/// shard-records marker (`SHARD_ARG_MARKERS`); the bounded park
 /// inside the reorder window itself carries a reasoned allow.
 pub fn bounded_ingest(
     file: &SourceFile,
@@ -878,7 +878,7 @@ const RETRY_BOUND_MARKERS: [&str; 9] = [
 /// paths (`retry_paths`), a `loop`/`while` body that sleeps is a
 /// retry or poll loop, and it must visibly bound itself — consult a
 /// stop flag, compare a deadline/timeout, read elapsed time, or count
-/// an attempt budget ([`RETRY_BOUND_MARKERS`], checked across the loop
+/// an attempt budget (`RETRY_BOUND_MARKERS`, checked across the loop
 /// head and body). An unbounded sleep loop spins forever against a
 /// peer that never recovers, which on the serve path means a worker
 /// thread that survives shutdown and on the stress path a soak that

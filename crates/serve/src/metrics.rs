@@ -9,7 +9,7 @@
 //! is all relaxed atomics — no locks, no allocation.
 
 use serde::Value;
-pub use wheels_metrics::{Counter, Histogram, Snapshot};
+use wheels_metrics::{Counter, Histogram};
 
 use crate::protocol::obj;
 

@@ -63,28 +63,22 @@ fn cdf_line(world: &World, table: Table, filter: &Filter, points: usize) -> Resu
 }
 
 fn table1_line(world: &World) -> Value {
-    let ds = world.dataset();
-    let cells: Vec<Value> = ds
-        .unique_cells
-        .iter()
-        .map(|(op, n)| {
-            Value::Array(vec![
-                Value::String(op.label().to_string()),
-                Value::U64(*n as u64),
-            ])
-        })
+    let view = world.view();
+    let cols = view.columns();
+    let cells: Vec<Value> = view
+        .unique_cells()
+        .map(|(op, n)| Value::Array(vec![Value::String(op.label().to_string()), Value::U64(n)]))
         .collect();
-    let runtime: Vec<Value> = ds
-        .runtime_min
-        .iter()
-        .map(|(op, m)| Value::Array(vec![Value::String(op.label().to_string()), Value::F64(*m)]))
+    let runtime: Vec<Value> = view
+        .runtime_min()
+        .map(|(op, m)| Value::Array(vec![Value::String(op.label().to_string()), Value::F64(m)]))
         .collect();
     obj(vec![
         ("ok", Value::Bool(true)),
         ("cmd", Value::String("table1".to_string())),
-        ("rx_bytes", Value::F64(ds.rx_bytes)),
-        ("tx_bytes", Value::F64(ds.tx_bytes)),
-        ("log_bytes", Value::F64(ds.log_bytes)),
+        ("rx_bytes", Value::F64(cols.rx_bytes)),
+        ("tx_bytes", Value::F64(cols.tx_bytes)),
+        ("log_bytes", Value::F64(cols.log_bytes)),
         ("unique_cells", Value::Array(cells)),
         ("runtime_min", Value::Array(runtime)),
     ])

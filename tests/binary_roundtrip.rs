@@ -1,6 +1,6 @@
 //! Pins the WCD1 binary export: `dataset --format bin` bytes must decode
 //! back to the identical normalized dataset, auto-detect correctly
-//! through [`wheels_core::column::load_dataset`], and leave the JSON
+//! through [`DatasetView::load`], and leave the JSON
 //! interchange untouched — serializing the loaded copy reproduces the
 //! exact JSON the row tables would have produced. A view rebuilt from
 //! the decoded columns must also drive the analysis kernels to the same
@@ -9,7 +9,7 @@
 
 use wheels_core::analysis::view::DatasetView;
 use wheels_core::campaign::{Campaign, CampaignConfig};
-use wheels_core::column::{self, wcd};
+use wheels_core::column::wcd;
 use wheels_core::disrupt::FaultConfig;
 use wheels_ran::operator::Operator;
 
@@ -17,25 +17,32 @@ use wheels_ran::operator::Operator;
 /// columns → rows, checked against the normalized source dataset.
 fn roundtrip(cfg: &CampaignConfig) {
     let campaign = Campaign::standard(cfg.seed);
-    let ds = campaign.run(cfg);
+    let mut ds = campaign.run(cfg);
     assert!(!ds.tput.is_empty(), "tput table empty");
     assert!(!ds.apps.is_empty(), "apps table empty");
     assert!(!ds.audits.is_empty(), "audit ledger empty");
 
     // The export path: the view normalizes the tables and owns the
-    // columnar twin `dataset --format bin` encodes.
-    let view = DatasetView::new(ds);
+    // columns `dataset --format bin` encodes.
+    let view = DatasetView::new(ds.clone());
+    ds.normalize();
+    let rows = view.to_dataset();
+    assert_eq!(
+        rows, ds,
+        "the view's rows differ from the normalized source"
+    );
     let bytes = wcd::encode(view.columns());
     assert_eq!(&bytes[..4], wcd::MAGIC);
 
     // `repro --load` path: auto-detect, load, compare tables.
-    let (loaded, fmt) = column::load_dataset(&bytes).expect("binary export loads");
+    let (loaded, fmt) = DatasetView::load(&bytes).expect("binary export loads");
     assert_eq!(fmt, "bin");
-    assert_eq!(&loaded, view.dataset(), "binary round-trip changed a table");
+    let loaded = loaded.to_dataset();
+    assert_eq!(loaded, rows, "binary round-trip changed a table");
 
     // JSON stays the interchange format: the loaded copy serializes to
     // the exact bytes the row tables produce.
-    let json_rows = serde_json::to_string(view.dataset()).expect("rows serialize");
+    let json_rows = serde_json::to_string(&rows).expect("rows serialize");
     let json_loaded = serde_json::to_string(&loaded).expect("loaded dataset serializes");
     assert_eq!(
         json_loaded, json_rows,

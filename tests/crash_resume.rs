@@ -210,7 +210,7 @@ fn view_from_journal_replays_to_identical_dataset() {
     let fp = campaign.fingerprint(&c);
     let (view, st) = DatasetView::from_journal(&dir, &fp).unwrap();
     assert_eq!(st.delivered, 9, "expected all 9 shard frames to replay");
-    assert_eq!(json(&view.into_dataset()), baseline);
+    assert_eq!(json(&view.to_dataset()), baseline);
 
     // The replay is strictly read-only: a torn tail yields the intact
     // prefix without healing the file.
