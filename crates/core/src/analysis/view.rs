@@ -44,12 +44,14 @@
 //! `normalize` order, and `OnceLock` memos are re-armed only for the
 //! partitions and combos the shard actually touched. The small tables
 //! (runs, handovers, apps, audits) stay *physically* canonical (the
-//! handover kernels and the figure code iterate them raw) by merging
-//! through transient rows, which is cheap because they are thousands of
-//! times smaller than the sample tables (plan-order app runs skip even
-//! that and append in place). [`DatasetView::from_journal`] replays a
-//! checkpoint journal frame-by-frame through the same path, so
-//! `run_checkpointed`, `--resume`, and `wheels-serve` share one
+//! handover kernels and the figure code iterate them raw): runs,
+//! handovers and audits merge through transient rows, which is cheap
+//! because they are thousands of times smaller than the sample tables;
+//! app runs, whose per-frame series would make that round trip cost
+//! O(all apps) per shard, merge as a column splice at their sorted
+//! position, whatever the arrival order. [`DatasetView::from_journal`]
+//! replays a checkpoint journal frame-by-frame through the same path,
+//! so `run_checkpointed`, `--resume`, and `wheels-serve` share one
 //! pipeline.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -68,7 +70,7 @@ use crate::analysis::coverage::{self, TechShare};
 use crate::analysis::handover::{self, HoImpact};
 use crate::campaign::table1_accounting;
 use crate::checkpoint::{self, CheckpointError, Fingerprint, TailState};
-use crate::column::{self, wcd, AppColumns, ColumnError, ColumnarDataset};
+use crate::column::{self, wcd, ColumnError, ColumnarDataset};
 use crate::records::{
     AppRun, CoverageSample, Dataset, RttSample, ShardRecords, TestAudit, TestRun, TputSample,
 };
@@ -943,33 +945,19 @@ impl DatasetView {
 
     /// Merge the shard's small tables (runs, handovers, apps, audits)
     /// into canonical physical order for the raw-order consumers (the
-    /// handover kernels and the figure code): the current tables go to
-    /// transient rows, take [`Dataset::merge_normalized`]'s run merge
-    /// and come back as columns — thousands of times smaller than the
-    /// sample tables, so the round trip is noise. App runs are the
-    /// exception: their per-frame series make a per-shard round trip
-    /// cost O(all apps), but test ids rise in plan order, so a
-    /// plan-order shard's runs sort after every stored one and append
-    /// in place; only an out-of-order shard merges them through rows.
+    /// handover kernels and the figure code): runs, handovers and
+    /// audits go to transient rows, take [`Dataset::merge_normalized`]'s
+    /// run merge and come back as columns — thousands of times smaller
+    /// than the sample tables, so the round trip is noise. App runs
+    /// carry per-frame series that make such a round trip cost O(all
+    /// apps) per shard, so they merge in place as a column splice
+    /// (`AppColumns::merge_sorted`), in any arrival order.
     fn ingest_small_tables(&mut self, sd: &mut Dataset) {
         let c = &mut self.cols;
-        let append_apps = match (c.apps.id.last(), sd.apps.first()) {
-            (Some(&last), Some(first)) => last <= first.id,
-            _ => true,
-        };
-        if append_apps {
-            std::mem::take(&mut sd.apps)
-                .iter()
-                .for_each(|a| c.apps.push(a));
-        }
+        c.apps.merge_sorted(&std::mem::take(&mut sd.apps));
         let mut small = ColumnarDataset {
             runs: std::mem::take(&mut c.runs),
             handovers: std::mem::take(&mut c.handovers),
-            apps: if append_apps {
-                AppColumns::default()
-            } else {
-                std::mem::take(&mut c.apps)
-            },
             audits: std::mem::take(&mut c.audits),
             ..ColumnarDataset::default()
         }
@@ -978,15 +966,11 @@ impl DatasetView {
         small.merge_normalized(Dataset {
             runs: std::mem::take(&mut sd.runs),
             handovers: std::mem::take(&mut sd.handovers),
-            apps: std::mem::take(&mut sd.apps),
             audits: std::mem::take(&mut sd.audits),
             ..Dataset::default()
         });
         let merged = ColumnarDataset::from_rows(&small);
         (c.runs, c.handovers, c.audits) = (merged.runs, merged.handovers, merged.audits);
-        if !append_apps {
-            c.apps = merged.apps;
-        }
     }
 
     /// Rebuild a view by replaying a checkpoint journal frame-by-frame

@@ -250,6 +250,17 @@ fn to_usize(n: u64, what: &str) -> Result<usize, ColumnError> {
     usize::try_from(n).map_err(|_| ColumnError(format!("{what} count {n} exceeds usize")))
 }
 
+/// Flat-section entries the valid rows of a variable-length column
+/// list: the `lens` of rows whose `valid` flag is 1, summed.
+fn listed(valid: &[u8], lens: &[u32]) -> usize {
+    valid
+        .iter()
+        .zip(lens)
+        .filter(|(v, _)| **v == 1)
+        .map(|(_, &n)| idx(n))
+        .sum()
+}
+
 /// Every column length in `lens` equals the table's row count `n`.
 fn rows_agree(n: usize, lens: &[usize], table: &str) -> Result<(), ColumnError> {
     if lens.iter().any(|&l| l != n) {
@@ -912,10 +923,108 @@ impl AppColumns {
         }
     }
 
+    /// Merge `new` (sorted by id) into the table (sorted by id), stored
+    /// rows first on equal ids — the order `Dataset::merge_normalized`
+    /// gives. Only stored rows after the first new id move, one block
+    /// per run of new rows between them: a campaign shard draws its
+    /// test ids from its own range, so it lands as one block (a memmove
+    /// of the rows after it) whatever order shards arrive in, and a
+    /// shard sorting after every stored row moves nothing.
+    pub(crate) fn merge_sorted(&mut self, new: &[AppRun]) {
+        let Some(first) = new.first() else {
+            return;
+        };
+        let mut tail = self.split_off(self.id.partition_point(|&id| id <= first.id));
+        for a in new {
+            let k = tail.id.partition_point(|&id| id <= a.id);
+            if k > 0 {
+                let rest = tail.split_off(k);
+                self.append(std::mem::replace(&mut tail, rest));
+            }
+            self.push(a);
+        }
+        self.append(tail);
+    }
+
+    /// Split at row `at`: `self` keeps rows `..at`, the result holds
+    /// rows `at..` with their slices of the flat sections.
+    fn split_off(&mut self, at: usize) -> AppColumns {
+        let e2e = listed(&self.off_valid[..at], &self.off_e2e_len);
+        let chunks = listed(&self.vid_valid[..at], &self.vid_chunks_len);
+        let bitrate = listed(&self.gam_valid[..at], &self.gam_bitrate_len);
+        let latency = listed(&self.gam_valid[..at], &self.gam_latency_len);
+        AppColumns {
+            id: self.id.split_off(at),
+            operator: self.operator.split_off(at),
+            kind: self.kind.split_off(at),
+            server: self.server.split_off(at),
+            driving: self.driving.split_off(at),
+            off_valid: self.off_valid.split_off(at),
+            off_e2e_len: self.off_e2e_len.split_off(at),
+            off_frames_offloaded: self.off_frames_offloaded.split_off(at),
+            off_frames_total: self.off_frames_total.split_off(at),
+            off_compressed: self.off_compressed.split_off(at),
+            off_hs5g: self.off_hs5g.split_off(at),
+            off_handovers: self.off_handovers.split_off(at),
+            off_e2e_ms: self.off_e2e_ms.split_off(e2e),
+            vid_valid: self.vid_valid.split_off(at),
+            vid_chunks_len: self.vid_chunks_len.split_off(at),
+            vid_hs5g: self.vid_hs5g.split_off(at),
+            vid_handovers: self.vid_handovers.split_off(at),
+            vid_bitrate_mbps: self.vid_bitrate_mbps.split_off(chunks),
+            vid_rebuffer_s: self.vid_rebuffer_s.split_off(chunks),
+            vid_qoe: self.vid_qoe.split_off(chunks),
+            gam_valid: self.gam_valid.split_off(at),
+            gam_bitrate_len: self.gam_bitrate_len.split_off(at),
+            gam_latency_len: self.gam_latency_len.split_off(at),
+            gam_frames_dropped: self.gam_frames_dropped.split_off(at),
+            gam_frames_sent: self.gam_frames_sent.split_off(at),
+            gam_hs5g: self.gam_hs5g.split_off(at),
+            gam_handovers: self.gam_handovers.split_off(at),
+            gam_bitrate_mbps: self.gam_bitrate_mbps.split_off(bitrate),
+            gam_latency_ms: self.gam_latency_ms.split_off(latency),
+        }
+    }
+
+    /// Append `other`'s rows after this table's.
+    fn append(&mut self, mut other: AppColumns) {
+        self.id.append(&mut other.id);
+        self.operator.append(&mut other.operator);
+        self.kind.append(&mut other.kind);
+        self.server.append(&mut other.server);
+        self.driving.append(&mut other.driving);
+        self.off_valid.append(&mut other.off_valid);
+        self.off_e2e_len.append(&mut other.off_e2e_len);
+        self.off_frames_offloaded
+            .append(&mut other.off_frames_offloaded);
+        self.off_frames_total.append(&mut other.off_frames_total);
+        self.off_compressed.append(&mut other.off_compressed);
+        self.off_hs5g.append(&mut other.off_hs5g);
+        self.off_handovers.append(&mut other.off_handovers);
+        self.off_e2e_ms.append(&mut other.off_e2e_ms);
+        self.vid_valid.append(&mut other.vid_valid);
+        self.vid_chunks_len.append(&mut other.vid_chunks_len);
+        self.vid_hs5g.append(&mut other.vid_hs5g);
+        self.vid_handovers.append(&mut other.vid_handovers);
+        self.vid_bitrate_mbps.append(&mut other.vid_bitrate_mbps);
+        self.vid_rebuffer_s.append(&mut other.vid_rebuffer_s);
+        self.vid_qoe.append(&mut other.vid_qoe);
+        self.gam_valid.append(&mut other.gam_valid);
+        self.gam_bitrate_len.append(&mut other.gam_bitrate_len);
+        self.gam_latency_len.append(&mut other.gam_latency_len);
+        self.gam_frames_dropped
+            .append(&mut other.gam_frames_dropped);
+        self.gam_frames_sent.append(&mut other.gam_frames_sent);
+        self.gam_hs5g.append(&mut other.gam_hs5g);
+        self.gam_handovers.append(&mut other.gam_handovers);
+        self.gam_bitrate_mbps.append(&mut other.gam_bitrate_mbps);
+        self.gam_latency_ms.append(&mut other.gam_latency_ms);
+    }
+
     /// The table's rows in stored order (a cursor walk, because of the
     /// flat variable-length sections). Yields `Err` on data that
     /// [`ColumnarDataset::check`] would refuse.
-    pub fn rows(&self) -> impl Iterator<Item = Result<AppRun, ColumnError>> + '_ {
+    pub(crate) fn rows(&self) -> impl Iterator<Item = Result<AppRun, ColumnError>> + '_ {
         let (mut e2e_at, mut chunk_at, mut br_at, mut lat_at) = (0usize, 0usize, 0usize, 0usize);
         (0..self.len()).map(move |i| {
             let offload = if bool_from(self.off_valid[i])? {
@@ -1032,21 +1141,13 @@ impl AppColumns {
         codes(&self.gam_valid, n, "gaming validity", bool_from)?;
         // The flat sections hold exactly what the valid rows' length
         // columns list, so the `rows` cursor walk never overruns.
-        let listed = |valid: &[u8], lens: &[u32]| -> u64 {
-            valid
-                .iter()
-                .zip(lens)
-                .filter(|(v, _)| **v == 1)
-                .map(|(_, &n)| u64::from(n))
-                .sum()
-        };
         let chunks = self.vid_bitrate_mbps.len();
-        if listed(&self.off_valid, &self.off_e2e_len) != to_u64(self.off_e2e_ms.len())
-            || listed(&self.vid_valid, &self.vid_chunks_len) != to_u64(chunks)
+        if listed(&self.off_valid, &self.off_e2e_len) != self.off_e2e_ms.len()
+            || listed(&self.vid_valid, &self.vid_chunks_len) != chunks
             || self.vid_rebuffer_s.len() != chunks
             || self.vid_qoe.len() != chunks
-            || listed(&self.gam_valid, &self.gam_bitrate_len) != to_u64(self.gam_bitrate_mbps.len())
-            || listed(&self.gam_valid, &self.gam_latency_len) != to_u64(self.gam_latency_ms.len())
+            || listed(&self.gam_valid, &self.gam_bitrate_len) != self.gam_bitrate_mbps.len()
+            || listed(&self.gam_valid, &self.gam_latency_len) != self.gam_latency_ms.len()
         {
             return Err(ColumnError(
                 "flat app sections disagree with their length columns".to_string(),
@@ -1229,7 +1330,7 @@ impl ColumnarDataset {
 
     /// Replace the per-operator Table-1 aggregates (unique-cell counts
     /// and runtimes).
-    pub fn set_aggregates(
+    pub(crate) fn set_aggregates(
         &mut self,
         unique_cells: &[(Operator, usize)],
         runtime_min: &[(Operator, f64)],
@@ -1392,5 +1493,72 @@ mod tests {
         assert!(!ColumnarDataset::from_rows(&ds).is_normalized());
         ds.normalize();
         assert!(ColumnarDataset::from_rows(&ds).is_normalized());
+    }
+
+    #[test]
+    fn app_merge_matches_the_row_merge() {
+        // Ids and flat-section sizes vary with the id so that blocks
+        // of different widths move; kinds cycle through all three
+        // stat shapes; stored and new rows differ in their server, so
+        // the order of equal ids shows.
+        let mk = |id: u32, server: ServerKind| {
+            let n = usize::try_from(id % 4).expect("small");
+            let series: Vec<f64> = (0..n).map(|k| f64::from(id) + 0.1 * k as f64).collect();
+            AppRun {
+                id,
+                operator: Operator::ALL[n % 3],
+                kind: TestKind::Ar,
+                server,
+                driving: id.is_multiple_of(2),
+                offload: id.is_multiple_of(3).then(|| OffloadStats {
+                    e2e_ms: series.clone(),
+                    frames_offloaded: n,
+                    frames_total: 2 * n,
+                    compressed: true,
+                    high_speed_5g_fraction: 0.5,
+                    handovers: n,
+                }),
+                video: (id % 3 == 1).then(|| VideoStats {
+                    chunks: series
+                        .iter()
+                        .map(|&b| ChunkRecord {
+                            bitrate_mbps: b,
+                            rebuffer_s: 0.0,
+                            qoe: 1.0,
+                        })
+                        .collect(),
+                    high_speed_5g_fraction: 0.25,
+                    handovers: n,
+                }),
+                gaming: (id % 3 == 2).then(|| GamingStats {
+                    bitrate_mbps: series.clone(),
+                    latency_ms: series.iter().chain(&series).copied().collect(),
+                    frames_dropped: n,
+                    frames_sent: 3 * n,
+                    high_speed_5g_fraction: 0.75,
+                    handovers: n,
+                }),
+            }
+        };
+        let cases: [(&[u32], &[u32]); 6] = [
+            (&[], &[1, 2, 3]),
+            (&[1, 2, 3], &[]),
+            (&[1, 2, 3], &[4, 5, 6]),
+            (&[10, 11, 40, 41], &[20, 21, 22]),
+            (&[10, 11, 40, 41], &[1, 2]),
+            (&[1, 3, 3, 5, 9, 12, 15], &[0, 3, 4, 10, 11, 13, 20]),
+        ];
+        for (stored, new) in cases {
+            let mut rows: Vec<AppRun> = stored.iter().map(|&id| mk(id, ServerKind::Edge)).collect();
+            let mut cols = AppColumns::default();
+            rows.iter().for_each(|a| cols.push(a));
+            let new: Vec<AppRun> = new.iter().map(|&id| mk(id, ServerKind::Cloud)).collect();
+            cols.merge_sorted(&new);
+            crate::records::merge_sorted_by_key(&mut rows, new, |a| a.id);
+            let mut want = AppColumns::default();
+            rows.iter().for_each(|a| want.push(a));
+            assert_eq!(cols, want, "stored {stored:?}");
+            cols.check().expect("merged sections add up");
+        }
     }
 }

@@ -112,17 +112,22 @@ fn cov_from(seed: u64) -> CoverageSample {
     }
 }
 
-fn build_view(tput_seeds: &[u64], rtt_seeds: &[u64], cov_seeds: &[u64]) -> DatasetView {
+/// The view over the seeded dataset, and that dataset normalized — the
+/// brute-force reference, built from the source rows rather than
+/// decoded back out of the view's columns.
+fn build_view(tput_seeds: &[u64], rtt_seeds: &[u64], cov_seeds: &[u64]) -> (DatasetView, Dataset) {
     let ds = Dataset {
         tput: tput_seeds.iter().map(|&s| tput_from(s)).collect(),
         rtt: rtt_seeds.iter().map(|&s| rtt_from(s)).collect(),
         coverage: cov_seeds.iter().map(|&s| cov_from(s)).collect(),
         ..Dataset::default()
     };
+    let mut want = ds.clone();
+    want.normalize();
     // Insert order is whatever the seeds produced (timestamps are random,
     // so the tables arrive thoroughly shuffled); the view normalizes
     // internally and must absorb that.
-    DatasetView::new(ds)
+    (DatasetView::new(ds), want)
 }
 
 fn op_filters() -> Vec<Option<Operator>> {
@@ -146,8 +151,8 @@ proptest! {
         rtt_seeds in prop::collection::vec(any::<u64>(), 0..150),
         cov_seeds in prop::collection::vec(any::<u64>(), 0..100),
     ) {
-        let view = build_view(&tput_seeds, &rtt_seeds, &cov_seeds);
-        let ds = &view.to_dataset();
+        let (view, ref ds) = build_view(&tput_seeds, &rtt_seeds, &cov_seeds);
+        prop_assert_eq!(&view.to_dataset(), ds, "to_dataset");
 
         for &op in &op_filters() {
             for &dir in &dir_filters() {
@@ -201,8 +206,7 @@ proptest! {
         tput_seeds in prop::collection::vec(any::<u64>(), 0..200),
         rtt_seeds in prop::collection::vec(any::<u64>(), 0..150),
     ) {
-        let view = build_view(&tput_seeds, &rtt_seeds, &[]);
-        let ds = &view.to_dataset();
+        let (view, ref ds) = build_view(&tput_seeds, &rtt_seeds, &[]);
 
         for op in Operator::ALL {
             for dir in Direction::ALL {
